@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "campaign/worker.h"
+#include "net/frame.h"
 #include "support/strings.h"
 #include "vaccine/json.h"
 
@@ -29,7 +30,7 @@ struct Slot {
   int fd = -1;  // read end of the report pipe
   size_t index = 0;
   size_t attempt = 0;
-  std::string buffer;  // bytes read so far (frame prefix)
+  net::FrameDecoder decoder{kMaxReportFramePayload};  // the report frame
   Clock::time_point deadline{};
   bool has_deadline = false;
   bool deadline_killed = false;
@@ -78,11 +79,11 @@ Status DrainPipe(Slot& slot) {
   while (true) {
     const ssize_t n = ::read(slot.fd, chunk, sizeof(chunk));
     if (n > 0) {
-      if (slot.buffer.size() + static_cast<size_t>(n) >
-          kMaxFramePayload + kFrameHeaderSize) {
+      if (slot.decoder.buffered() + static_cast<size_t>(n) >
+          kMaxReportFramePayload + net::kNetFrameHeaderSize) {
         return Status::Internal("worker frame exceeds the payload bound");
       }
-      slot.buffer.append(chunk, static_cast<size_t>(n));
+      slot.decoder.Append(std::string_view(chunk, static_cast<size_t>(n)));
       continue;
     }
     if (n == 0) {
@@ -222,14 +223,16 @@ Result<CampaignRun> RunDurableCampaign(
       ::close(slot.fd);
       slot.fd = -1;
 
-      auto frame = DecodeFrame(slot.buffer);
-      if (frame.ok()) {
-        auto report = vaccine::ParseSampleReportJson(frame.value());
+      // Exactly one complete frame, nothing after it: anything else
+      // (and an unparsable report) is a worker malfunction, treated like
+      // a crash so the retry/quarantine policy applies.
+      std::string frame;
+      const Result<bool> got = slot.decoder.Next(&frame);
+      if (got.ok() && *got && slot.decoder.buffered() == 0) {
+        auto report = vaccine::ParseSampleReportJson(frame);
         if (report.ok()) {
           return complete(slot.index, std::move(report).value());
         }
-        // A delivered-but-unparsable frame is a worker malfunction;
-        // treat it like a crash so the retry/quarantine policy applies.
       }
 
       vaccine::SampleDisposition disposition;

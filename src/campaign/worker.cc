@@ -3,75 +3,11 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
-#include <cstring>
 
+#include "net/frame.h"
 #include "vaccine/json.h"
 
 namespace autovac::campaign {
-namespace {
-
-void PutU32(std::string& out, uint32_t value) {
-  out.push_back(static_cast<char>(value & 0xFF));
-  out.push_back(static_cast<char>((value >> 8) & 0xFF));
-  out.push_back(static_cast<char>((value >> 16) & 0xFF));
-  out.push_back(static_cast<char>((value >> 24) & 0xFF));
-}
-
-uint32_t GetU32(std::string_view bytes) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(bytes[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[3])) << 24;
-}
-
-}  // namespace
-
-Status WriteFrame(int fd, std::string_view payload) {
-  if (payload.size() > kMaxFramePayload) {
-    return Status::InvalidArgument("frame payload too large");
-  }
-  std::string frame;
-  frame.reserve(kFrameHeaderSize + payload.size());
-  PutU32(frame, kFrameMagic);
-  PutU32(frame, static_cast<uint32_t>(payload.size()));
-  frame.append(payload);
-  size_t written = 0;
-  while (written < frame.size()) {
-    const ssize_t n =
-        ::write(fd, frame.data() + written, frame.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(std::string("frame write failed: ") +
-                              std::strerror(errno));
-    }
-    written += static_cast<size_t>(n);
-  }
-  return Status::Ok();
-}
-
-Result<std::string> DecodeFrame(std::string_view buffer) {
-  if (buffer.size() < kFrameHeaderSize) {
-    if (buffer.size() >= 4 && GetU32(buffer) != kFrameMagic) {
-      return Status::InvalidArgument("bad frame magic");
-    }
-    return Status::NotFound("incomplete frame header");
-  }
-  if (GetU32(buffer) != kFrameMagic) {
-    return Status::InvalidArgument("bad frame magic");
-  }
-  const uint32_t length = GetU32(buffer.substr(4));
-  if (length > kMaxFramePayload) {
-    return Status::InvalidArgument("frame payload too large");
-  }
-  if (buffer.size() < kFrameHeaderSize + length) {
-    return Status::NotFound("incomplete frame payload");
-  }
-  if (buffer.size() > kFrameHeaderSize + length) {
-    return Status::InvalidArgument("trailing bytes after frame");
-  }
-  return std::string(buffer.substr(kFrameHeaderSize, length));
-}
 
 vaccine::PipelineOptions BackoffOptions(
     const vaccine::PipelineOptions& options, size_t attempt) {
@@ -98,7 +34,8 @@ void RunWorkerChild(const vaccine::VaccinePipeline& pipeline,
   // Failure to ship the frame is indistinguishable from a crash to the
   // supervisor, which is exactly the semantics we want: no report, no
   // completion.
-  (void)WriteFrame(fd, vaccine::SampleReportToJson(report));
+  (void)net::WriteNetFrame(fd, vaccine::SampleReportToJson(report),
+                           kMaxReportFramePayload);
   // _exit, not exit: the child inherited the parent's stdio buffers and
   // atexit handlers; running them here would duplicate output and tear
   // down state the parent still owns.

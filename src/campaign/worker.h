@@ -3,37 +3,23 @@
 // The supervisor forks one disposable worker per sample attempt (the
 // pokiSEC model: every detonation gets its own supervised, throwaway
 // executor). The worker analyzes the sample and ships the SampleReport
-// back over a pipe as a single length-prefixed JSON frame, then _exit()s
-// without running parent-inherited atexit/stdio teardown. A worker that
-// dies by SIGSEGV/abort/OOM-kill simply never completes its frame; the
-// supervisor turns that into a failed SampleReport instead of a dead
-// campaign.
+// back over a pipe as a single JSON frame in the system's one framing
+// (net/frame.h), then _exit()s without running parent-inherited
+// atexit/stdio teardown. A worker that dies by SIGSEGV/abort/OOM-kill
+// simply never completes its frame; the supervisor turns that into a
+// failed SampleReport instead of a dead campaign.
 #pragma once
 
-#include <cstdint>
-#include <string>
-#include <string_view>
+#include <cstddef>
 
-#include "support/status.h"
 #include "vaccine/pipeline.h"
 #include "vm/program.h"
 
 namespace autovac::campaign {
 
-// Frame layout: magic ("AVWF"), payload length, payload bytes.
-inline constexpr uint32_t kFrameMagic = 0x46575641;  // "AVWF" little-endian
-inline constexpr uint32_t kMaxFramePayload = 256u << 20;
-inline constexpr size_t kFrameHeaderSize = 8;
-
-// Blocking write of one complete frame (worker side).
-[[nodiscard]] Status WriteFrame(int fd, std::string_view payload);
-
-// Attempts to decode one complete frame from `buffer` (everything the
-// supervisor has read off the pipe so far). Returns the payload, a
-// NotFound status when the buffer is an incomplete prefix of a valid
-// frame (caller keeps reading), or InvalidArgument when the bytes can
-// never become a valid frame.
-[[nodiscard]] Result<std::string> DecodeFrame(std::string_view buffer);
+// Cap on a report frame: a SampleReport carries its natural trace, so
+// the pipe allows far larger frames than the network protocols do.
+inline constexpr size_t kMaxReportFramePayload = 256u << 20;
 
 // Derives the pipeline for retry `attempt` (0 = first try): each retry
 // halves the phase-1 and impact cycle budgets — deterministic exponential

@@ -1,97 +1,25 @@
 #include "fleet/client.h"
 
-#include <unistd.h>
-
-#include <algorithm>
-#include <chrono>
 #include <utility>
-#include <variant>
 
 #include "support/digest.h"
-#include "support/rng.h"
 #include "support/strings.h"
 
 namespace autovac::fleet {
-namespace {
-
-Status ErrorToStatus(const net::ErrorReply& error) {
-  if (error.busy) {
-    return Status::FailedPrecondition("fleet coordinator busy: " +
-                                      error.message);
-  }
-  return Status::Internal(error.message);
-}
-
-uint64_t ElapsedMs(std::chrono::steady_clock::time_point start) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::steady_clock::now() - start)
-          .count());
-}
-
-}  // namespace
-
-Result<net::FleetReply> FleetClient::RoundTripJson(
-    const std::string& json) const {
-  // Same retry discipline as VacdClient::RoundTripJson: deterministic
-  // per-(seed, request) jitter, capped total budget, retry on BUSY and
-  // on the transient transport outcomes.
-  Rng jitter(retry_.seed ^ Fnv1a64(json));
-  const auto start = std::chrono::steady_clock::now();
-  for (uint32_t attempt = 1;; ++attempt) {
-    Status last = Status::Ok();
-    Result<std::string> raw =
-        net::FrameRoundTrip(socket_path_, deadline_ms_, json, after_send_);
-    if (raw.ok()) {
-      Result<net::FleetReply> reply = net::ParseFleetReply(*raw);
-      if (!reply.ok()) return reply;  // malformed reply: not transient
-      const auto* error = std::get_if<net::ErrorReply>(&reply.value());
-      if (error == nullptr || !error->busy) return reply;
-      if (attempt >= retry_.max_attempts) return reply;  // busy, gave up
-      last = ErrorToStatus(*error);
-    } else {
-      last = raw.status();
-      if (!net::VacdClient::IsRetryable(last)) return last;
-      if (attempt >= retry_.max_attempts) return last;
-    }
-
-    const uint64_t elapsed = ElapsedMs(start);
-    if (elapsed >= retry_.max_total_ms) {
-      return Status::DeadlineExceeded(StrFormat(
-          "retry budget (%llu ms) exhausted after %u attempts; last: %s",
-          static_cast<unsigned long long>(retry_.max_total_ms), attempt,
-          last.ToString().c_str()));
-    }
-    const uint32_t shift = std::min<uint32_t>(attempt - 1, 20);
-    uint64_t backoff =
-        std::min(retry_.max_backoff_ms, retry_.initial_backoff_ms << shift);
-    if (backoff == 0) backoff = 1;
-    uint64_t sleep_ms = backoff / 2 + jitter.NextBelow(backoff / 2 + 1);
-    sleep_ms = std::min(sleep_ms, retry_.max_total_ms - elapsed);
-    if (sleep_ms > 0) {
-      ::usleep(static_cast<useconds_t>(sleep_ms * 1000));
-    }
-  }
-}
 
 Result<net::FleetReply> FleetClient::RoundTrip(
     const net::FleetRequest& request) const {
-  return RoundTripJson(net::FleetRequestToJson(request));
+  return net::RoundTripWithRetry(socket_path_, deadline_ms_, retry_,
+                                 net::FleetRequestToJson(request),
+                                 net::ParseFleetReply, after_send_);
 }
 
 Result<net::ClaimReply> FleetClient::Claim(
     const std::string& worker_id) const {
   net::ClaimRequest request;
   request.worker_id = worker_id;
-  AUTOVAC_ASSIGN_OR_RETURN(net::FleetReply reply,
-                           RoundTrip(net::FleetRequest(std::move(request))));
-  if (const auto* error = std::get_if<net::ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
-  }
-  if (auto* claim = std::get_if<net::ClaimReply>(&reply)) {
-    return std::move(*claim);
-  }
-  return Status::Internal("unexpected reply kind for claim");
+  return net::ReplyAs<net::ClaimReply>(
+      RoundTrip(net::FleetRequest(std::move(request))), "claim");
 }
 
 Result<net::RenewReply> FleetClient::Renew(const std::string& worker_id,
@@ -99,15 +27,8 @@ Result<net::RenewReply> FleetClient::Renew(const std::string& worker_id,
   net::RenewRequest request;
   request.worker_id = worker_id;
   request.lease_id = lease_id;
-  AUTOVAC_ASSIGN_OR_RETURN(const net::FleetReply reply,
-                           RoundTrip(net::FleetRequest(std::move(request))));
-  if (const auto* error = std::get_if<net::ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
-  }
-  if (const auto* renew = std::get_if<net::RenewReply>(&reply)) {
-    return *renew;
-  }
-  return Status::Internal("unexpected reply kind for renew");
+  return net::ReplyAs<net::RenewReply>(
+      RoundTrip(net::FleetRequest(std::move(request))), "renew");
 }
 
 Result<net::CompleteReply> FleetClient::Complete(
@@ -123,41 +44,20 @@ Result<net::CompleteReply> FleetClient::Complete(
         static_cast<unsigned long long>(request.sample_index),
         request.report.sample_digest.c_str()));
   }
-  AUTOVAC_ASSIGN_OR_RETURN(const net::FleetReply reply,
-                           RoundTrip(net::FleetRequest(std::move(request))));
-  if (const auto* error = std::get_if<net::ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
-  }
-  if (const auto* complete = std::get_if<net::CompleteReply>(&reply)) {
-    return *complete;
-  }
-  return Status::Internal("unexpected reply kind for complete");
+  return net::ReplyAs<net::CompleteReply>(
+      RoundTrip(net::FleetRequest(std::move(request))), "complete");
 }
 
 Result<net::VerdictReply> FleetClient::Verdict(
     const net::VerdictRequest& request) const {
-  AUTOVAC_ASSIGN_OR_RETURN(const net::FleetReply reply,
-                           RoundTrip(net::FleetRequest(request)));
-  if (const auto* error = std::get_if<net::ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
-  }
-  if (const auto* verdict = std::get_if<net::VerdictReply>(&reply)) {
-    return *verdict;
-  }
-  return Status::Internal("unexpected reply kind for verdict");
+  return net::ReplyAs<net::VerdictReply>(
+      RoundTrip(net::FleetRequest(request)), "verdict");
 }
 
 Result<net::FleetStatusReply> FleetClient::Stats() const {
-  AUTOVAC_ASSIGN_OR_RETURN(
-      const net::FleetReply reply,
-      RoundTrip(net::FleetRequest(net::FleetStatusRequest{})));
-  if (const auto* error = std::get_if<net::ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
-  }
-  if (const auto* status = std::get_if<net::FleetStatusReply>(&reply)) {
-    return *status;
-  }
-  return Status::Internal("unexpected reply kind for fleet status");
+  return net::ReplyAs<net::FleetStatusReply>(
+      RoundTrip(net::FleetRequest(net::FleetStatusRequest{})),
+      "fleet status");
 }
 
 }  // namespace autovac::fleet

@@ -1,9 +1,9 @@
 // Fleet control-plane client: the worker agent's view of the
-// coordinator. Connection per request over AVNF (net/client.h
-// FrameRoundTrip), with the same RetryPolicy/backoff/jitter discipline
-// as the vacd client — a worker behind a lying network retries BUSY
-// sheds, torn replies, refused connects and deadline misses, and every
-// retry of one logical upload presents the same request id.
+// coordinator. Connection per request over AVNF, through the vacd
+// client's retry loop (net/client.h RoundTripWithRetry) — a worker
+// behind a lying network retries BUSY sheds, torn replies, refused
+// connects and deadline misses, and every retry of one logical upload
+// presents the same request id.
 #pragma once
 
 #include <cstdint>
@@ -48,9 +48,6 @@ class FleetClient {
   }
 
  private:
-  [[nodiscard]] Result<net::FleetReply> RoundTripJson(
-      const std::string& json) const;
-
   std::string socket_path_;
   uint64_t deadline_ms_;
   net::RetryPolicy retry_;

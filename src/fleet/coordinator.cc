@@ -1,42 +1,34 @@
 #include "fleet/coordinator.h"
 
-#include <poll.h>
 #include <signal.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
-#include <unistd.h>
 
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 #include <variant>
 
 #include "fleet/merge.h"
-#include "net/frame.h"
 #include "support/strings.h"
 
 namespace autovac::fleet {
-namespace {
-
-void SetDeadline(int fd, uint64_t deadline_ms) {
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(deadline_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((deadline_ms % 1000) * 1000);
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-}  // namespace
 
 FleetCoordinator::FleetCoordinator(std::vector<vm::Program> samples,
                                    vaccine::PipelineOptions pipeline_options,
                                    CoordinatorOptions options)
     : samples_(std::move(samples)),
       pipeline_options_(std::move(pipeline_options)),
-      options_(std::move(options)) {
-  if (options_.threads == 0) options_.threads = 1;
+      options_(std::move(options)),
+      server_(
+          "fleet", net::FlowControl{}, options_.threads,
+          [this](std::string payload) {
+            return net::FrameServer::Answer{
+                {}, [this, payload = std::move(payload)] {
+                  return Serve(payload);
+                }};
+          },
+          [](std::string_view, bool busy, std::string message) {
+            return net::FleetReplyToJson(
+                net::ErrorReply{busy, std::move(message)});
+          }) {
   sample_digests_.reserve(samples_.size());
   for (const vm::Program& sample : samples_) {
     sample_digests_.push_back(sample.Digest());
@@ -104,72 +96,17 @@ Status FleetCoordinator::Start() {
     ingest_ = true;
   }
 
-  // --- Socket setup (the vacd server shape) -----------------------------
-  sockaddr_un addr{};
-  if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument(
-        StrFormat("socket path too long: %s", options_.socket_path.c_str()));
-  }
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-              options_.socket_path.size() + 1);
-  (void)::unlink(options_.socket_path.c_str());
-
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(
-        StrFormat("socket failed: %s", std::strerror(errno)));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal(StrFormat("bind %s failed: %s",
-                                      options_.socket_path.c_str(),
-                                      std::strerror(err)));
-  }
-  const int backlog = static_cast<int>(
-      options_.max_pending < 1 ? 1
-      : options_.max_pending > 128 ? 128
-                                   : options_.max_pending);
-  if (::listen(listen_fd_, backlog) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    (void)::unlink(options_.socket_path.c_str());
-    return Status::Internal(
-        StrFormat("listen failed: %s", std::strerror(err)));
-  }
-  if (::pipe(stop_pipe_) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    (void)::unlink(options_.socket_path.c_str());
-    return Status::Internal(
-        StrFormat("pipe failed: %s", std::strerror(err)));
-  }
-
-  pool_ = std::make_unique<ThreadPool>(options_.threads);
-  accept_thread_ = std::thread(&FleetCoordinator::AcceptLoop, this);
+  net::Endpoint endpoint;
+  endpoint.path = options_.socket_path;
+  AUTOVAC_RETURN_IF_ERROR(server_.Start({endpoint}));
   running_ = true;
   return Status::Ok();
 }
 
 void FleetCoordinator::Stop() {
   if (!running_) return;
-  const char stop = 'x';
-  while (::write(stop_pipe_[1], &stop, 1) < 0 && errno == EINTR) {
-  }
-  accept_thread_.join();
-  pool_.reset();  // drains queued connections, joins workers
+  server_.Stop();
   if (ingest_) (void)store_.Flush();
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  ::close(stop_pipe_[0]);
-  ::close(stop_pipe_[1]);
-  stop_pipe_[0] = stop_pipe_[1] = -1;
-  (void)::unlink(options_.socket_path.c_str());
   running_ = false;
 }
 
@@ -221,54 +158,13 @@ CoordinatorStats FleetCoordinator::Stats() const {
   return stats_;
 }
 
-void FleetCoordinator::AcceptLoop() {
-  while (true) {
-    pollfd fds[2];
-    fds[0] = {stop_pipe_[0], POLLIN, 0};
-    fds[1] = {listen_fd_, POLLIN, 0};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (fds[0].revents != 0) return;  // stop requested
-    if ((fds[1].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    SetDeadline(fd, options_.deadline_ms);
-    if (pending_.load(std::memory_order_relaxed) >= options_.max_pending) {
-      (void)net::WriteNetFrame(
-          fd, net::FleetReplyToJson(
-                  net::ErrorReply{true, "coordinator overloaded"}));
-      ::close(fd);
-      continue;
-    }
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    pool_->Submit([this, fd] { ServeConnection(fd); });
+std::string FleetCoordinator::Serve(const std::string& payload) {
+  const Result<net::FleetRequest> request = net::ParseFleetRequest(payload);
+  if (!request.ok()) {
+    return net::FleetReplyToJson(
+        net::ErrorReply{false, request.status().ToString()});
   }
-}
-
-void FleetCoordinator::ServeConnection(int fd) {
-  Result<std::string> payload = net::ReadNetFrame(fd);
-  bool answer = true;
-  net::FleetReply reply = net::ErrorReply{};
-  if (!payload.ok()) {
-    // A clean hang-up (client connected and left) gets no reply.
-    answer = payload.status().code() != StatusCode::kNotFound;
-    reply = net::ErrorReply{false, payload.status().ToString()};
-  } else {
-    Result<net::FleetRequest> request = net::ParseFleetRequest(*payload);
-    if (!request.ok()) {
-      reply = net::ErrorReply{false, request.status().ToString()};
-    } else {
-      reply = Dispatch(*request);
-    }
-  }
-  if (answer) {
-    (void)net::WriteNetFrame(fd, net::FleetReplyToJson(reply));
-  }
-  ::close(fd);
-  pending_.fetch_sub(1, std::memory_order_relaxed);
+  return net::FleetReplyToJson(Dispatch(*request));
 }
 
 net::FleetReply FleetCoordinator::Dispatch(const net::FleetRequest& request) {

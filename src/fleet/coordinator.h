@@ -3,8 +3,9 @@
 // merges the results into a CampaignReport byte-identical to a
 // fault-free single-host run — for any failure schedule.
 //
-// Server shape follows vacd (net/server.h): one Unix listening socket,
-// an accept thread, a bounded worker pool shedding BUSY at the door.
+// It serves its Unix socket from the same frame server as vacd
+// (net/frameserver.h), with the default flow control, and answers every
+// request on the server's pool: claims and completes fsync the journal.
 // All campaign state (lease table, completed reports, dedup window,
 // journal) lives under one mutex — claims and completes mutate, and the
 // request rate is worker-bounded, so a reader/writer split buys nothing.
@@ -36,15 +37,14 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
 #include "campaign/journal.h"
 #include "fleet/lease.h"
 #include "net/fleet_protocol.h"
+#include "net/frameserver.h"
 #include "support/status.h"
-#include "support/threadpool.h"
 #include "vaccine/pipeline.h"
 #include "vacstore/store.h"
 #include "vm/program.h"
@@ -53,9 +53,7 @@ namespace autovac::fleet {
 
 struct CoordinatorOptions {
   std::string socket_path;
-  size_t threads = 4;
-  size_t max_pending = 64;      // shed BUSY past this many in flight
-  uint64_t deadline_ms = 5000;  // per-connection socket deadline
+  size_t threads = 4;           // request pool size
   uint64_t lease_ms = 5000;     // lease validity window
   // Write-ahead journal (campaign/journal.h); empty = in-memory only
   // (tests), which forfeits coordinator crash recovery.
@@ -106,7 +104,8 @@ class FleetCoordinator {
   // occurs, or `timeout_ms` elapses (0 = wait forever).
   [[nodiscard]] Status WaitUntilDone(uint64_t timeout_ms = 0);
 
-  // Graceful, idempotent shutdown (destructor calls it too).
+  // Graceful, idempotent shutdown (destructor calls it too): answers
+  // every request received before it, then closes the socket.
   void Stop();
 
   // The merged campaign artifact; Internal until every sample is done.
@@ -127,8 +126,8 @@ class FleetCoordinator {
   }
 
  private:
-  void AcceptLoop();
-  void ServeConnection(int fd);
+  // Parses one request frame and returns the encoded reply.
+  [[nodiscard]] std::string Serve(const std::string& payload);
   [[nodiscard]] net::FleetReply Dispatch(const net::FleetRequest& request);
   [[nodiscard]] net::FleetReply HandleClaim(const net::ClaimRequest& claim);
   [[nodiscard]] net::FleetReply HandleComplete(
@@ -157,13 +156,11 @@ class FleetCoordinator {
   CoordinatorStats stats_;
   size_t assignments_journaled_ = 0;
 
-  int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
   bool running_ = false;
-  std::atomic<size_t> pending_{0};
   std::atomic<uint64_t> requests_served_{0};
+
+  // Declared last: its threads use everything above.
+  net::FrameServer server_;
 };
 
 }  // namespace autovac::fleet

@@ -13,16 +13,22 @@
 // the *server's* short-read loops, something the client-side shim cannot
 // reach.
 //
-// Connections are served sequentially on the accept thread: verdicts are
+// Connections are served sequentially on one loop thread: verdicts are
 // indexed by connection order, and a retrying client is the intended
-// peer, so serial relay keeps the fault schedule deterministic.
+// peer, so serial relay keeps the fault schedule deterministic. Backend
+// legs are dialed with DialEndpoint, so an in-process wire plan
+// (InstallWireFaults) would fault them too: a test uses one injector or
+// the other, never both at once.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 
+#include "net/endpoint.h"
+#include "net/eventloop.h"
 #include "net/faultwire.h"
 #include "support/status.h"
 
@@ -31,8 +37,7 @@ namespace autovac::net {
 struct ChaosProxyOptions {
   // Endpoint specs (net/endpoint.h): a Unix socket path, or
   // "tcp:host:port" / "tcp:port" — either leg can be either kind, so
-  // the TCP event tier rehearses under the same fault plans as the
-  // Unix tier.
+  // a TCP listener rehearses under the same fault plans as a Unix one.
   std::string listen_path;   // where the client connects
   std::string backend_path;  // the real vacd endpoint
   uint64_t deadline_ms = 5000;  // per-leg socket read/write deadline
@@ -66,7 +71,7 @@ class ChaosProxy {
   }
 
  private:
-  void AcceptLoop();
+  void OnAcceptReady();
   void Relay(int client_fd, const ConnectionFaults& faults);
   // Sends `bytes` to `fd`, honoring a cut offset (relative to the whole
   // stream direction) and optional one-byte-per-write relay. Returns
@@ -77,11 +82,12 @@ class ChaosProxy {
   const NetFaultPlan& plan_;
   ChaosProxyOptions options_;
   NetFaultInjector injector_;
+  Endpoint backend_;  // parsed backend_path
 
   int listen_fd_ = -1;
   uint16_t listen_port_ = 0;
   bool listen_unix_ = false;  // unlink the socket file on Stop()
-  int stop_pipe_[2] = {-1, -1};
+  std::unique_ptr<EventLoop> loop_;
   std::thread accept_thread_;
   bool running_ = false;
 

@@ -1,18 +1,14 @@
 #include "net/client.h"
 
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
-#include <cstring>
 
 #include "net/binary.h"
 #include "net/endpoint.h"
 #include "net/faultwire.h"
+#include "net/fleet_protocol.h"
 #include "net/frame.h"
 #include "support/digest.h"
 #include "support/rng.h"
@@ -21,22 +17,19 @@
 namespace autovac::net {
 namespace {
 
-constexpr std::string_view kBusyPrefix = "vacd busy: ";
-
-// Maps an ErrorReply to a Status for the typed helpers.
-Status ErrorToStatus(const ErrorReply& error) {
-  if (error.busy) {
-    return Status::FailedPrecondition(std::string(kBusyPrefix) +
-                                      error.message);
-  }
-  return Status::Internal(error.message);
-}
+constexpr std::string_view kBusyPrefix = "server busy: ";
 
 uint64_t ElapsedMs(std::chrono::steady_clock::time_point start) {
   return static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::milliseconds>(
           std::chrono::steady_clock::now() - start)
           .count());
+}
+
+// The server answers in the request's encoding; sniffing the first byte
+// keeps one retry loop for both.
+Result<Reply> ParseAnyReply(std::string_view raw) {
+  return IsBinaryPayload(raw) ? ParseBinaryReply(raw) : ParseReply(raw);
 }
 
 }  // namespace
@@ -79,59 +72,69 @@ bool VacdClient::IsRetryable(const Status& status) {
   }
 }
 
-Result<Reply> VacdClient::RoundTripPayload(const std::string& payload) const {
+template <typename ReplyVariant>
+Result<ReplyVariant> RoundTripWithRetry(
+    const std::string& endpoint_spec, uint64_t deadline_ms,
+    const RetryPolicy& retry, const std::string& payload,
+    Result<ReplyVariant> (*parse)(std::string_view raw),
+    const std::function<void()>& after_send) {
   // The jitter stream is deterministic per (seed, request): two runs of
   // the same campaign sleep the same schedule.
-  Rng jitter(retry_.seed ^ Fnv1a64(payload));
+  Rng jitter(retry.seed ^ Fnv1a64(payload));
   const auto start = std::chrono::steady_clock::now();
   for (uint32_t attempt = 1;; ++attempt) {
     Status last = Status::Ok();
-    Result<std::string> raw = RoundTripRaw(payload);
+    Result<std::string> raw =
+        FrameRoundTrip(endpoint_spec, deadline_ms, payload, after_send);
     if (raw.ok()) {
-      // The server answers in the request's encoding; sniffing the first
-      // byte keeps one retry loop for both.
-      Result<Reply> reply = IsBinaryPayload(*raw) ? ParseBinaryReply(*raw)
-                                                  : ParseReply(*raw);
+      Result<ReplyVariant> reply = parse(*raw);
       if (!reply.ok()) return reply;  // malformed reply: not transient
-      const auto* error = std::get_if<ErrorReply>(&reply.value());
+      const auto* error = std::get_if<ErrorReply>(&*reply);
       if (error == nullptr || !error->busy) return reply;
-      if (attempt >= retry_.max_attempts) return reply;  // busy, gave up
-      last = ErrorToStatus(*error);
+      if (attempt >= retry.max_attempts) return reply;  // busy, gave up
+      last = ErrorReplyStatus(*error);
     } else {
       last = raw.status();
-      if (!IsRetryable(last)) return last;
-      if (attempt >= retry_.max_attempts) return last;
+      if (!VacdClient::IsRetryable(last)) return last;
+      if (attempt >= retry.max_attempts) return last;
     }
 
     const uint64_t elapsed = ElapsedMs(start);
-    if (elapsed >= retry_.max_total_ms) {
+    if (elapsed >= retry.max_total_ms) {
       return Status::DeadlineExceeded(StrFormat(
           "retry budget (%llu ms) exhausted after %u attempts; last: %s",
-          static_cast<unsigned long long>(retry_.max_total_ms), attempt,
+          static_cast<unsigned long long>(retry.max_total_ms), attempt,
           last.ToString().c_str()));
     }
     const uint32_t shift = std::min<uint32_t>(attempt - 1, 20);
     uint64_t backoff =
-        std::min(retry_.max_backoff_ms, retry_.initial_backoff_ms << shift);
+        std::min(retry.max_backoff_ms, retry.initial_backoff_ms << shift);
     if (backoff == 0) backoff = 1;
     // Decorrelated jitter in [backoff/2, backoff], then clamped to what
     // remains of the budget so the final sleep cannot overshoot it.
     uint64_t sleep_ms = backoff / 2 + jitter.NextBelow(backoff / 2 + 1);
-    sleep_ms = std::min(sleep_ms, retry_.max_total_ms - elapsed);
+    sleep_ms = std::min(sleep_ms, retry.max_total_ms - elapsed);
     if (sleep_ms > 0) {
       ::usleep(static_cast<useconds_t>(sleep_ms * 1000));
     }
   }
 }
 
+template Result<Reply> RoundTripWithRetry(
+    const std::string&, uint64_t, const RetryPolicy&, const std::string&,
+    Result<Reply> (*)(std::string_view), const std::function<void()>&);
+template Result<FleetReply> RoundTripWithRetry(
+    const std::string&, uint64_t, const RetryPolicy&, const std::string&,
+    Result<FleetReply> (*)(std::string_view), const std::function<void()>&);
+
 Result<Reply> VacdClient::RoundTrip(const Request& request) const {
-  if (binary_) {
-    bool ok = false;
-    std::string payload = EncodeBinaryRequest(request, &ok);
-    // Mutations have no binary form and fall through to JSON.
-    if (ok) return RoundTripPayload(payload);
-  }
-  return RoundTripPayload(RequestToJson(request));
+  bool binary = false;
+  std::string payload;
+  // Mutations have no binary form and fall through to JSON.
+  if (binary_) payload = EncodeBinaryRequest(request, &binary);
+  if (!binary) payload = RequestToJson(request);
+  return RoundTripWithRetry(endpoint_spec_, deadline_ms_, retry_, payload,
+                            ParseAnyReply);
 }
 
 Result<PushReply> VacdClient::Push(
@@ -148,13 +151,7 @@ Result<PushReply> VacdClient::Push(
                   static_cast<unsigned long long>(sequence)) +
         RequestToJson(Request(push)));
   }
-  AUTOVAC_ASSIGN_OR_RETURN(const Reply reply,
-                           RoundTrip(Request(std::move(push))));
-  if (const auto* error = std::get_if<ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
-  }
-  if (const auto* pushed = std::get_if<PushReply>(&reply)) return *pushed;
-  return Status::Internal("unexpected reply kind for push");
+  return ReplyAs<PushReply>(RoundTrip(Request(std::move(push))), "push");
 }
 
 Result<QuarantineReply> VacdClient::Quarantine(
@@ -162,13 +159,8 @@ Result<QuarantineReply> VacdClient::Quarantine(
   QuarantineRequest request;
   request.digest = std::string(digest);
   request.reason = std::string(reason);
-  AUTOVAC_ASSIGN_OR_RETURN(const Reply reply,
-                           RoundTrip(Request(std::move(request))));
-  if (const auto* error = std::get_if<ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
-  }
-  if (const auto* done = std::get_if<QuarantineReply>(&reply)) return *done;
-  return Status::Internal("unexpected reply kind for quarantine");
+  return ReplyAs<QuarantineReply>(RoundTrip(Request(std::move(request))),
+                                  "quarantine");
 }
 
 Result<QueryReply> VacdClient::Query(os::ResourceType resource_type,
@@ -176,29 +168,15 @@ Result<QueryReply> VacdClient::Query(os::ResourceType resource_type,
   QueryRequest request;
   request.resource_type = resource_type;
   request.identifier = std::string(identifier);
-  AUTOVAC_ASSIGN_OR_RETURN(Reply reply,
-                           RoundTrip(Request(std::move(request))));
-  if (const auto* error = std::get_if<ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
-  }
-  if (auto* query = std::get_if<QueryReply>(&reply)) {
-    return std::move(*query);
-  }
-  return Status::Internal("unexpected reply kind for query");
+  return ReplyAs<QueryReply>(RoundTrip(Request(std::move(request))),
+                             "query");
 }
 
 Result<PullReply> VacdClient::Pull(uint64_t since, uint64_t limit) const {
   PullRequest request;
   request.since = since;
   request.limit = limit;
-  AUTOVAC_ASSIGN_OR_RETURN(Reply reply, RoundTrip(Request(request)));
-  if (const auto* error = std::get_if<ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
-  }
-  if (auto* pull = std::get_if<PullReply>(&reply)) {
-    return std::move(*pull);
-  }
-  return Status::Internal("unexpected reply kind for pull");
+  return ReplyAs<PullReply>(RoundTrip(Request(request)), "pull");
 }
 
 Result<PullReply> VacdClient::SyncAll(uint64_t since,
@@ -218,13 +196,15 @@ Result<PullReply> VacdClient::SyncAll(uint64_t since,
 }
 
 Result<StatusReply> VacdClient::Stats() const {
-  AUTOVAC_ASSIGN_OR_RETURN(const Reply reply,
-                           RoundTrip(Request(StatusRequest{})));
-  if (const auto* error = std::get_if<ErrorReply>(&reply)) {
-    return ErrorToStatus(*error);
+  return ReplyAs<StatusReply>(RoundTrip(Request(StatusRequest{})), "status");
+}
+
+Status ErrorReplyStatus(const ErrorReply& error) {
+  if (error.busy) {
+    return Status::FailedPrecondition(std::string(kBusyPrefix) +
+                                      error.message);
   }
-  if (const auto* status = std::get_if<StatusReply>(&reply)) return *status;
-  return Status::Internal("unexpected reply kind for status");
+  return Status::Internal(error.message);
 }
 
 bool VacdClient::IsBusy(const Status& status) {

@@ -1,15 +1,16 @@
 // vacd client library: one connection per request (the protocol is
 // strictly request/reply, and a feed client syncs rarely), blocking with
-// the same deadline discipline as the server. Speaks to either tier
-// through an endpoint spec (net/endpoint.h): a plain path dials the
-// Unix socket, "tcp:host:port" / "tcp:port" dials the TCP event tier.
+// a per-attempt socket deadline. Speaks to either listener through an
+// endpoint spec (net/endpoint.h): a plain path dials the Unix socket,
+// "tcp:host:port" / "tcp:port" dials the TCP port.
 // With set_binary(true) the read-path requests (query/pull/status) go
 // out in the compact binary encoding (net/binary.h); mutations always
 // travel as JSON.
 //
 // The typed helpers unwrap the reply variant into Status codes:
-//   * a busy shed  -> FailedPrecondition("vacd busy: ...") — back off and
-//     retry, nothing about the request was wrong (IsBusy() tests this);
+//   * a busy shed  -> FailedPrecondition("server busy: ...") — back off
+//     and retry, nothing about the request was wrong (IsBusy() tests
+//     this);
 //   * a server-side error reply -> Internal(<server message>);
 //   * connect refused/absent socket -> NotFound.
 //
@@ -30,6 +31,8 @@
 #include <functional>
 #include <string>
 #include <string_view>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "net/protocol.h"
@@ -78,6 +81,41 @@ struct RetryPolicy {
     return policy;
   }
 };
+
+// The retry loop behind both clients, instantiated for vacd's Reply and
+// the fleet's FleetReply. Each attempt is one FrameRoundTrip of
+// `payload`, decoded by `parse`. A BUSY ErrorReply and the transient
+// transport outcomes (VacdClient::IsRetryable) are retried under `retry`
+// with capped exponential backoff and jitter seeded by (retry.seed,
+// payload). Returns the first reply that is not BUSY, or the BUSY one
+// once the attempts run out (the caller sees it as a value); else the
+// parse error of a malformed reply, the last transport error, or
+// DeadlineExceeded when the total budget runs out.
+template <typename ReplyVariant>
+[[nodiscard]] Result<ReplyVariant> RoundTripWithRetry(
+    const std::string& endpoint_spec, uint64_t deadline_ms,
+    const RetryPolicy& retry, const std::string& payload,
+    Result<ReplyVariant> (*parse)(std::string_view raw),
+    const std::function<void()>& after_send = nullptr);
+
+// An ErrorReply as the typed helpers report it: a BUSY shed is
+// FailedPrecondition (VacdClient::IsBusy), any other error Internal.
+[[nodiscard]] Status ErrorReplyStatus(const ErrorReply& error);
+
+// The typed helpers' unwrapping of a round trip's reply variant (vacd's
+// Reply or the fleet's FleetReply) into its `T` alternative; an
+// ErrorReply becomes ErrorReplyStatus, any other `kind` of reply
+// Internal.
+template <typename T, typename ReplyVariant>
+[[nodiscard]] Result<T> ReplyAs(Result<ReplyVariant> reply,
+                                std::string_view kind) {
+  if (!reply.ok()) return reply.status();
+  if (const auto* error = std::get_if<ErrorReply>(&*reply)) {
+    return ErrorReplyStatus(*error);
+  }
+  if (auto* typed = std::get_if<T>(&*reply)) return std::move(*typed);
+  return Status::Internal("unexpected reply kind for " + std::string(kind));
+}
 
 class VacdClient {
  public:
@@ -139,11 +177,6 @@ class VacdClient {
   [[nodiscard]] const RetryPolicy& retry_policy() const { return retry_; }
 
  private:
-  // RoundTrip on a pre-serialized payload, with the retry loop. The
-  // reply's encoding is sniffed (first byte), so one loop serves both.
-  [[nodiscard]] Result<Reply> RoundTripPayload(
-      const std::string& payload) const;
-
   std::string endpoint_spec_;
   uint64_t deadline_ms_;
   RetryPolicy retry_;

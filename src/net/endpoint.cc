@@ -26,28 +26,39 @@ void SetDeadlines(int fd, uint64_t deadline_ms) {
   (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
 }
 
-Result<sockaddr_in> TcpAddress(const Endpoint& endpoint) {
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(endpoint.port);
-  const std::string host =
-      endpoint.host == "localhost" ? "127.0.0.1" : endpoint.host;
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-    return Status::InvalidArgument(StrFormat(
-        "bad TCP host '%s' (numeric IPv4 or localhost)", host.c_str()));
+// A stream socket of the endpoint's family, with the address to bind or
+// connect it to in `*address` / `*length`.
+Result<int> OpenSocket(const Endpoint& endpoint, sockaddr_storage* address,
+                       socklen_t* length) {
+  *address = {};
+  if (endpoint.tcp) {
+    auto* addr = reinterpret_cast<sockaddr_in*>(address);
+    addr->sin_family = AF_INET;
+    addr->sin_port = htons(endpoint.port);
+    const std::string host =
+        endpoint.host == "localhost" ? "127.0.0.1" : endpoint.host;
+    if (::inet_pton(AF_INET, host.c_str(), &addr->sin_addr) != 1) {
+      return Status::InvalidArgument(StrFormat(
+          "bad TCP host '%s' (numeric IPv4 or localhost)", host.c_str()));
+    }
+    *length = sizeof(sockaddr_in);
+  } else {
+    auto* addr = reinterpret_cast<sockaddr_un*>(address);
+    if (endpoint.path.size() >= sizeof(addr->sun_path)) {
+      return Status::InvalidArgument(
+          StrFormat("socket path too long: %s", endpoint.path.c_str()));
+    }
+    addr->sun_family = AF_UNIX;
+    std::memcpy(addr->sun_path, endpoint.path.c_str(),
+                endpoint.path.size() + 1);
+    *length = sizeof(sockaddr_un);
   }
-  return addr;
-}
-
-Result<sockaddr_un> UnixAddress(const std::string& path) {
-  sockaddr_un addr{};
-  if (path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument(
-        StrFormat("socket path too long: %s", path.c_str()));
+  const int fd = ::socket(endpoint.tcp ? AF_INET : AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return Status::Internal(
+        StrFormat("socket failed: %s", std::strerror(errno)));
   }
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, path.c_str(), path.size() + 1);
-  return addr;
+  return fd;
 }
 
 }  // namespace
@@ -100,56 +111,26 @@ Result<Endpoint> ParseEndpoint(std::string_view spec) {
 }
 
 Result<int> ListenEndpoint(const Endpoint& endpoint, int backlog) {
+  sockaddr_storage address{};
+  socklen_t length = 0;
+  AUTOVAC_ASSIGN_OR_RETURN(const int fd,
+                           OpenSocket(endpoint, &address, &length));
   if (endpoint.tcp) {
-    AUTOVAC_ASSIGN_OR_RETURN(const sockaddr_in addr, TcpAddress(endpoint));
-    const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-    if (fd < 0) {
-      return Status::Internal(
-          StrFormat("socket failed: %s", std::strerror(errno)));
-    }
     const int enable = 1;
     (void)::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &enable,
                        sizeof(enable));
-    if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-               sizeof(addr)) != 0) {
-      const int err = errno;
-      ::close(fd);
-      return Status::Internal(StrFormat("bind %s failed: %s",
-                                        endpoint.Spec().c_str(),
-                                        std::strerror(err)));
-    }
-    if (::listen(fd, backlog) != 0) {
-      const int err = errno;
-      ::close(fd);
-      return Status::Internal(
-          StrFormat("listen failed: %s", std::strerror(err)));
-    }
-    return fd;
-  }
-
-  AUTOVAC_ASSIGN_OR_RETURN(const sockaddr_un addr,
-                           UnixAddress(endpoint.path));
-  // A stale socket file from a previous (crashed) server blocks bind.
-  (void)::unlink(endpoint.path.c_str());
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return Status::Internal(
-        StrFormat("socket failed: %s", std::strerror(errno)));
-  }
-  if (::bind(fd, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::Internal(StrFormat("bind %s failed: %s",
-                                      endpoint.path.c_str(),
-                                      std::strerror(err)));
-  }
-  if (::listen(fd, backlog) != 0) {
-    const int err = errno;
-    ::close(fd);
+  } else {
+    // A stale socket file from a previous (crashed) server blocks bind.
     (void)::unlink(endpoint.path.c_str());
-    return Status::Internal(
-        StrFormat("listen failed: %s", std::strerror(err)));
+  }
+  if (::bind(fd, reinterpret_cast<const sockaddr*>(&address), length) != 0 ||
+      ::listen(fd, backlog) != 0) {
+    const int err = errno;
+    ::close(fd);
+    if (!endpoint.tcp) (void)::unlink(endpoint.path.c_str());
+    return Status::Internal(StrFormat("listen on %s failed: %s",
+                                      endpoint.Spec().c_str(),
+                                      std::strerror(err)));
   }
   return fd;
 }
@@ -164,31 +145,29 @@ Result<uint16_t> ListenPort(int fd) {
   return static_cast<uint16_t>(ntohs(addr.sin_port));
 }
 
-Result<int> DialEndpoint(const Endpoint& endpoint, uint64_t deadline_ms) {
+Result<int> AcceptConnection(int listen_fd, uint64_t deadline_ms) {
   int fd = -1;
-  sockaddr_storage storage{};
-  socklen_t len = 0;
-  if (endpoint.tcp) {
-    AUTOVAC_ASSIGN_OR_RETURN(const sockaddr_in addr, TcpAddress(endpoint));
-    std::memcpy(&storage, &addr, sizeof(addr));
-    len = sizeof(addr);
-    fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  } else {
-    AUTOVAC_ASSIGN_OR_RETURN(const sockaddr_un addr,
-                             UnixAddress(endpoint.path));
-    std::memcpy(&storage, &addr, sizeof(addr));
-    len = sizeof(addr);
-    fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  }
+  do {
+    fd = ::accept4(listen_fd, nullptr, nullptr, SOCK_CLOEXEC);
+  } while (fd < 0 && errno == EINTR);
   if (fd < 0) {
     return Status::Internal(
-        StrFormat("socket failed: %s", std::strerror(errno)));
+        StrFormat("accept failed: %s", std::strerror(errno)));
   }
+  SetDeadlines(fd, deadline_ms);
+  return fd;
+}
+
+Result<int> DialEndpoint(const Endpoint& endpoint, uint64_t deadline_ms) {
+  sockaddr_storage address{};
+  socklen_t length = 0;
+  AUTOVAC_ASSIGN_OR_RETURN(const int fd,
+                           OpenSocket(endpoint, &address, &length));
   SetDeadlines(fd, deadline_ms);
   // WireConnect retries EINTR and applies the installed NetFaultPlan, if
   // any — TCP connections inherit the chaos shim for free.
-  if (WireConnect(fd, reinterpret_cast<const sockaddr*>(&storage), len) !=
-      0) {
+  if (WireConnect(fd, reinterpret_cast<const sockaddr*>(&address),
+                  length) != 0) {
     const int err = errno;
     WireClose(fd);
     // Refused/absent reads as "no server yet" so startup-wait loops can

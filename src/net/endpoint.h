@@ -1,7 +1,7 @@
 // Endpoint specs for the distribution tier: every place that used to
 // take a Unix socket path (serve, client --socket, chaos proxy legs)
-// now also accepts "tcp:<host>:<port>" — the fleet-scale transport the
-// epoll tier listens on. A spec without the "tcp:" prefix stays a Unix
+// now also accepts "tcp:<host>:<port>" — the fleet-scale transport
+// vacd's TCP listener serves. A spec without the "tcp:" prefix stays a Unix
 // path, so every existing script and test keeps working unchanged.
 //
 // TCP trust model: the listener has no authentication yet — bind it to
@@ -39,6 +39,12 @@ struct Endpoint {
 
 // The locally bound TCP port of a listening fd (resolves port 0).
 [[nodiscard]] Result<uint16_t> ListenPort(int fd);
+
+// Accepts one connection on a listening fd and gives it the same
+// SO_RCVTIMEO/SO_SNDTIMEO deadlines DialEndpoint gives the dialing side
+// — for blocking relays that must not be pinned by a stalled peer.
+[[nodiscard]] Result<int> AcceptConnection(int listen_fd,
+                                           uint64_t deadline_ms);
 
 // Connects with SO_RCVTIMEO/SO_SNDTIMEO deadlines, routing through the
 // wire-fault shim (WireConnect) so TCP clients inherit the same

@@ -4,7 +4,9 @@
 #include <sys/eventfd.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <utility>
 
@@ -89,11 +91,19 @@ void EventLoop::DrainPosted() {
 }
 
 void EventLoop::Run(uint64_t tick_ms, const std::function<void()>& on_tick) {
+  using Clock = std::chrono::steady_clock;
   constexpr int kMaxEvents = 128;
   epoll_event events[kMaxEvents];
+  const auto period = std::chrono::milliseconds(tick_ms);
+  Clock::time_point next_tick = Clock::now() + period;
   while (!stop_.load(std::memory_order_acquire)) {
-    const int ready = ::epoll_wait(epoll_fd_, events, kMaxEvents,
-                                   static_cast<int>(tick_ms));
+    // The tick is due by the clock, not by an idle wait: traffic on any
+    // one fd must not starve the sweep that every other fd relies on.
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        next_tick - Clock::now());
+    const int ready = ::epoll_wait(
+        epoll_fd_, events, kMaxEvents,
+        static_cast<int>(std::max<int64_t>(wait.count(), 0)));
     if (ready < 0) {
       if (errno == EINTR) continue;
       return;
@@ -114,7 +124,10 @@ void EventLoop::Run(uint64_t tick_ms, const std::function<void()>& on_tick) {
       (*handler)(events[i].events);
     }
     DrainPosted();
-    if (ready == 0 && on_tick) on_tick();
+    if (Clock::now() >= next_tick) {
+      next_tick = Clock::now() + period;
+      if (on_tick) on_tick();
+    }
   }
   // One final drain so a Post racing Stop() is not silently dropped.
   DrainPosted();

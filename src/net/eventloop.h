@@ -1,9 +1,9 @@
-// Single-threaded epoll readiness loop — the engine under vacd's TCP
-// serving tier. One thread owns every registered fd and all connection
-// state, so per-connection read/write machines need no locks; the only
-// cross-thread surfaces are Post() (an eventfd-woken task queue that
-// worker threads use to hand completed mutations back to the loop) and
-// Stop().
+// Single-threaded epoll readiness loop — the engine under the frame
+// server (net/frameserver.h). One thread owns every registered fd and
+// all connection state, so per-connection read/write machines need no
+// locks; the only cross-thread surfaces are Post() (an eventfd-woken
+// task queue that pool threads use to hand finished replies back to the
+// loop) and Stop().
 //
 // Handlers receive the ready-event bitmask (EPOLLIN/EPOLLOUT/...). A
 // handler may Remove() any fd — including its own — mid-dispatch: the
@@ -52,8 +52,8 @@ class EventLoop {
   // the worker-pool -> loop handoff for mutation replies.
   void Post(std::function<void()> task);
 
-  // Runs until Stop(). `on_tick` (may be null) fires roughly every
-  // `tick_ms` while idle — the idle-connection sweep hook.
+  // Runs until Stop(). `on_tick` (may be null) fires once every
+  // `tick_ms`, busy or idle — the idle-connection sweep hook.
   void Run(uint64_t tick_ms = 500,
            const std::function<void()>& on_tick = nullptr);
 

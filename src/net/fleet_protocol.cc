@@ -158,10 +158,8 @@ std::string FleetReplyToJson(const FleetReply& reply) {
         static_cast<unsigned long long>(status->suspicious),
         Bool(status->done).c_str());
   }
-  const auto& error = std::get<ErrorReply>(reply);
-  return StrFormat("{\"ok\":false,\"busy\":%s,\"error\":\"%s\"}",
-                   Bool(error.busy).c_str(),
-                   JsonEscape(error.message).c_str());
+  // One ErrorReply encoding for vacd and the fleet.
+  return ReplyToJson(std::get<ErrorReply>(reply));
 }
 
 Result<FleetReply> ParseFleetReply(std::string_view text) {

@@ -3,27 +3,34 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstring>
 
 #include "net/faultwire.h"
+#include "support/binio.h"
 #include "support/strings.h"
 
 namespace autovac::net {
 namespace {
 
-void PutU32(std::string& out, uint32_t value) {
-  out.push_back(static_cast<char>(value & 0xFF));
-  out.push_back(static_cast<char>((value >> 8) & 0xFF));
-  out.push_back(static_cast<char>((value >> 16) & 0xFF));
-  out.push_back(static_cast<char>((value >> 24) & 0xFF));
-}
+// The most ReadNetFrame grows its buffer by before bytes arrive to fill it.
+constexpr size_t kReadChunk = 64u << 10;
 
-uint32_t GetU32(const char* bytes) {
-  return static_cast<uint32_t>(static_cast<unsigned char>(bytes[0])) |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[1])) << 8 |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[2])) << 16 |
-         static_cast<uint32_t>(static_cast<unsigned char>(bytes[3])) << 24;
+// Validates an 8-byte header and returns the payload length it claims.
+Result<uint32_t> ParseHeader(std::string_view header, size_t max_payload) {
+  BinReader reader{header};
+  uint32_t magic = 0;
+  uint32_t length = 0;
+  (void)reader.U32(&magic);
+  (void)reader.U32(&length);
+  if (magic != kNetFrameMagic) {
+    return Status::InvalidArgument("bad frame magic");
+  }
+  if (length > max_payload) {
+    return Status::InvalidArgument("frame payload too large");
+  }
+  return length;
 }
 
 Status WriteAll(int fd, std::string_view bytes) {
@@ -51,7 +58,7 @@ Status WriteAll(int fd, std::string_view bytes) {
   return Status::Ok();
 }
 
-// Reads exactly `size` bytes into `out`. `*eof_ok` reports whether EOF
+// Reads exactly `size` bytes into `out`. `*clean_eof` reports whether EOF
 // arrived before the first byte (a clean hang-up, not a torn frame).
 Status ReadExact(int fd, char* out, size_t size, bool* clean_eof) {
   *clean_eof = false;
@@ -86,24 +93,20 @@ std::string EncodeNetFrame(std::string_view payload) {
   return frame;
 }
 
-Status WriteNetFrame(int fd, std::string_view payload) {
-  if (payload.size() > kMaxNetFramePayload) {
+Status WriteNetFrame(int fd, std::string_view payload, size_t max_payload) {
+  if (payload.size() > max_payload) {
     return Status::InvalidArgument("frame payload too large");
   }
   return WriteAll(fd, EncodeNetFrame(payload));
 }
 
 Result<bool> FrameDecoder::Next(std::string* payload) {
-  if (buffer_.size() - pos_ < kNetFrameHeaderSize) return false;
-  const char* header = buffer_.data() + pos_;
-  if (GetU32(header) != kNetFrameMagic) {
-    return Status::InvalidArgument("bad frame magic");
-  }
-  const uint32_t length = GetU32(header + 4);
-  if (length > kMaxNetFramePayload) {
-    return Status::InvalidArgument("frame payload too large");
-  }
-  if (buffer_.size() - pos_ < kNetFrameHeaderSize + length) return false;
+  if (buffered() < kNetFrameHeaderSize) return false;
+  AUTOVAC_ASSIGN_OR_RETURN(
+      const uint32_t length,
+      ParseHeader(std::string_view(buffer_).substr(pos_, kNetFrameHeaderSize),
+                  max_payload_));
+  if (buffered() < kNetFrameHeaderSize + length) return false;
   payload->assign(buffer_, pos_ + kNetFrameHeaderSize, length);
   pos_ += kNetFrameHeaderSize + length;
   // Compact once the consumed prefix dominates, so a long-lived
@@ -126,17 +129,16 @@ Result<std::string> ReadNetFrame(int fd) {
     if (clean_eof) return Status::NotFound("connection closed");
     return read;
   }
-  if (GetU32(header) != kNetFrameMagic) {
-    return Status::InvalidArgument("bad frame magic");
-  }
-  const uint32_t length = GetU32(header + 4);
-  if (length > kMaxNetFramePayload) {
-    return Status::InvalidArgument("frame payload too large");
-  }
-  std::string payload(length, '\0');
-  if (length > 0) {
-    AUTOVAC_RETURN_IF_ERROR(
-        ReadExact(fd, payload.data(), length, &clean_eof));
+  AUTOVAC_ASSIGN_OR_RETURN(
+      const uint32_t length,
+      ParseHeader(std::string_view(header, sizeof(header)),
+                  kMaxNetFramePayload));
+  std::string payload;
+  while (payload.size() < length) {
+    const size_t have = payload.size();
+    payload.resize(have + std::min<size_t>(length - have, kReadChunk));
+    AUTOVAC_RETURN_IF_ERROR(ReadExact(fd, payload.data() + have,
+                                      payload.size() - have, &clean_eof));
   }
   return payload;
 }

@@ -1,14 +1,14 @@
-// Socket framing for the vacd protocol: the campaign pipe-framing
-// discipline (campaign/worker.h) applied to a connected stream socket.
-// Every message is `magic u32 | length u32 | payload` little-endian; the
-// magic ("AVNF", distinct from the campaign workers' "AVWF") rejects
-// cross-protocol connects immediately instead of misparsing a length.
+// The one length-prefixed framing of the system: vacd and fleet sockets
+// and the campaign worker pipes all carry `magic u32 | length u32 |
+// payload` little-endian frames. The magic ("AVNF") rejects a
+// cross-protocol connect immediately instead of misparsing a length.
 //
-// Reads and writes are blocking; the per-request deadline is enforced by
-// SO_RCVTIMEO/SO_SNDTIMEO on the socket, which surfaces here as
-// DeadlineExceeded. A clean EOF before any header byte is NotFound
-// ("connection closed"), so servers can tell an idle hang-up from a torn
-// frame.
+// Blocking reads and writes serve the clients (and the chaos proxy);
+// their deadline is SO_RCVTIMEO/SO_SNDTIMEO on the socket, which
+// surfaces here as DeadlineExceeded. A clean EOF before any header byte
+// is NotFound ("connection closed"), so a reader can tell an idle
+// hang-up from a torn frame. Non-blocking readers (the frame server and
+// the campaign supervisor) feed a FrameDecoder instead.
 #pragma once
 
 #include <cstdint>
@@ -22,33 +22,39 @@ namespace autovac::net {
 // "AVNF" little-endian: AutoVac Net Frame.
 inline constexpr uint32_t kNetFrameMagic = 0x464E5641;
 inline constexpr size_t kNetFrameHeaderSize = 8;
-// Protocol messages are JSON requests/replies; 64 MB is far above any
-// realistic vaccine feed page and far below the campaign frame cap.
+// Default payload cap: protocol messages are JSON requests/replies, and
+// 64 MB is far above any realistic vaccine feed page. Callers with a
+// different bound (the campaign report pipe) pass their own.
 inline constexpr size_t kMaxNetFramePayload = 64u << 20;
 
 // Header + payload as raw bytes — what WriteNetFrame puts on the wire.
 // The chaos proxy uses this to cut a relayed frame at an exact byte.
 [[nodiscard]] std::string EncodeNetFrame(std::string_view payload);
 
-// Writes one frame; retries EINTR, maps timeouts to DeadlineExceeded.
-[[nodiscard]] Status WriteNetFrame(int fd, std::string_view payload);
+// Writes one frame to a socket or pipe; retries EINTR, maps timeouts to
+// DeadlineExceeded, and refuses payloads above `max_payload`.
+[[nodiscard]] Status WriteNetFrame(int fd, std::string_view payload,
+                                   size_t max_payload = kMaxNetFramePayload);
 
-// Reads exactly one frame.
+// Reads exactly one frame. The payload buffer grows as bytes arrive, so
+// a header that claims more than the peer sends costs only what it sent.
 [[nodiscard]] Result<std::string> ReadNetFrame(int fd);
 
-// Incremental frame parser for non-blocking connections: feed whatever
-// the socket had, take out however many complete frames arrived. The
-// event-loop tier's per-connection read state machine — a frame split
+// Incremental frame parser for non-blocking readers: feed whatever the
+// fd had, take out however many complete frames arrived. A frame split
 // across any number of reads reassembles, pipelined frames in one read
 // all come out.
 class FrameDecoder {
  public:
+  explicit FrameDecoder(size_t max_payload = kMaxNetFramePayload)
+      : max_payload_(max_payload) {}
+
   void Append(std::string_view bytes) { buffer_.append(bytes); }
 
   // Extracts the next complete frame's payload into `*payload`. Returns
   // true when one was extracted, false when more bytes are needed, and
-  // InvalidArgument on a malformed header (bad magic / oversize length)
-  // — after which the stream is unrecoverable and should be closed.
+  // InvalidArgument on a malformed header (bad magic / length above the
+  // cap) — after which the stream is unrecoverable and should be closed.
   [[nodiscard]] Result<bool> Next(std::string* payload);
 
   // Bytes buffered but not yet consumed (a flow-control signal: a
@@ -56,6 +62,7 @@ class FrameDecoder {
   [[nodiscard]] size_t buffered() const { return buffer_.size() - pos_; }
 
  private:
+  size_t max_payload_;
   std::string buffer_;
   size_t pos_ = 0;  // consumed prefix, compacted opportunistically
 };

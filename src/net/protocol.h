@@ -100,9 +100,9 @@ struct StatusReply {
   uint64_t epoch = 0;
   uint64_t served = 0;
   uint64_t quarantined = 0;
-  uint64_t requests = 0;  // served requests since start
-  uint64_t shed = 0;      // connections refused with busy
-  uint64_t evicted = 0;   // slow clients evicted on a write deadline
+  uint64_t requests = 0;  // request frames received since start
+  uint64_t shed = 0;      // connections and requests refused with busy
+  uint64_t evicted = 0;   // readers that stopped reading their replies
   // Recovery/ops telemetry for fleet operators (optional on the wire so
   // old clients and replies interoperate):
   // feed epoch covered by the last checkpoint (0 = none yet) — how much

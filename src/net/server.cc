@@ -1,61 +1,50 @@
 #include "net/server.h"
 
-#include <fcntl.h>
-#include <poll.h>
-#include <sys/epoll.h>
-#include <sys/socket.h>
-#include <sys/time.h>
-#include <sys/un.h>
-#include <unistd.h>
-
-#include <algorithm>
-#include <cerrno>
-#include <cstring>
 #include <utility>
 
 #include "net/binary.h"
-#include "net/endpoint.h"
-#include "net/frame.h"
 #include "support/strings.h"
 #include "support/tracing.h"
 
 namespace autovac::net {
 namespace {
 
-void SetDeadline(int fd, uint64_t deadline_ms) {
-  timeval tv;
-  tv.tv_sec = static_cast<time_t>(deadline_ms / 1000);
-  tv.tv_usec = static_cast<suseconds_t>((deadline_ms % 1000) * 1000);
-  (void)::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
-  (void)::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &tv, sizeof(tv));
-}
-
-// A mutation must leave the loop thread (it takes the exclusive lock
-// and does store IO); everything else is answered inline.
-bool IsMutation(const Request& request) {
+// Work that would stall every other connection runs on the pool: a
+// mutation takes the exclusive lock and does store IO, and a full pull
+// serializes the whole feed. Queries, status and delta pulls (what a
+// synced host polls with) are answered inline.
+bool RunsOnPool(const Request& request) {
+  if (const auto* pull = std::get_if<PullRequest>(&request)) {
+    return pull->since == 0;
+  }
   return std::holds_alternative<PushRequest>(request) ||
          std::holds_alternative<QuarantineRequest>(request);
 }
 
-uint64_t MsSince(std::chrono::steady_clock::time_point then,
-                 std::chrono::steady_clock::time_point now) {
-  return static_cast<uint64_t>(
-      std::chrono::duration_cast<std::chrono::milliseconds>(now - then)
-          .count());
+// An ErrorReply in the encoding of the request it answers: binary for a
+// binary request, JSON otherwise — and for garbage that parses as
+// neither, or no request at all, since JSON is the one a human (or the
+// seed-era tooling) can read. Binary clients sniff the reply encoding,
+// so they handle that fine too.
+std::string ErrorPayload(std::string_view request, bool busy,
+                         std::string message) {
+  const Reply reply = ErrorReply{busy, std::move(message)};
+  return IsBinaryPayload(request) ? EncodeBinaryReply(reply)
+                                  : ReplyToJson(reply);
 }
 
 }  // namespace
 
 VacdServer::VacdServer(vacstore::VaccineStore store, VacdOptions options)
-    : store_(std::move(store)), options_(std::move(options)) {
-  if (options_.threads == 0) options_.threads = 1;
+    : store_(std::move(store)),
+      options_(std::move(options)),
+      server_(
+          "vacd", options_, options_.threads,
+          [this](std::string payload) { return Handle(std::move(payload)); },
+          ErrorPayload) {
   MetricsRegistry& metrics = GlobalMetrics();
-  requests_metric_ = metrics.GetCounter("vacd.requests");
-  rate_limited_metric_ = metrics.GetCounter("vacd.rate_limited");
   quarantine_metric_ = metrics.GetCounter("vacd.quarantines");
-  shed_metric_ = metrics.GetCounter("vacd.requests_shed");
   failed_metric_ = metrics.GetCounter("vacd.requests_failed");
-  evicted_metric_ = metrics.GetCounter("vacd.slow_client_evictions");
   push_added_metric_ = metrics.GetCounter("vacd.push.added");
   push_duplicate_metric_ = metrics.GetCounter("vacd.push.duplicates");
   push_quarantined_metric_ = metrics.GetCounter("vacd.push.quarantined");
@@ -68,192 +57,60 @@ VacdServer::~VacdServer() { Stop(); }
 
 Status VacdServer::Start() {
   if (running_) return Status::FailedPrecondition("server already running");
-
-  sockaddr_un addr{};
-  if (options_.socket_path.size() >= sizeof(addr.sun_path)) {
-    return Status::InvalidArgument(
-        StrFormat("socket path too long: %s", options_.socket_path.c_str()));
-  }
-  addr.sun_family = AF_UNIX;
-  std::memcpy(addr.sun_path, options_.socket_path.c_str(),
-              options_.socket_path.size() + 1);
-
-  // A stale socket file from a previous (crashed) server blocks bind.
-  (void)::unlink(options_.socket_path.c_str());
-
-  listen_fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) {
-    return Status::Internal(
-        StrFormat("socket failed: %s", std::strerror(errno)));
-  }
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&addr),
-             sizeof(addr)) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal(StrFormat("bind %s failed: %s",
-                                      options_.socket_path.c_str(),
-                                      std::strerror(err)));
-  }
-  const int backlog = static_cast<int>(
-      options_.max_pending < 1 ? 1
-      : options_.max_pending > 128 ? 128
-                                   : options_.max_pending);
-  if (::listen(listen_fd_, backlog) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    (void)::unlink(options_.socket_path.c_str());
-    return Status::Internal(
-        StrFormat("listen failed: %s", std::strerror(err)));
-  }
-  if (::pipe(stop_pipe_) != 0) {
-    const int err = errno;
-    ::close(listen_fd_);
-    listen_fd_ = -1;
-    (void)::unlink(options_.socket_path.c_str());
-    return Status::Internal(
-        StrFormat("pipe failed: %s", std::strerror(err)));
-  }
-
   {
     // Single-threaded here, so the span is safe by construction.
     ScopedSpan span(GlobalTracer(), "vacd.load");
     RebuildIndex();
   }
-
-  pool_ = std::make_unique<ThreadPool>(options_.threads);
-
+  std::vector<Endpoint> endpoints(1);
+  endpoints[0].path = options_.socket_path;
   if (!options_.tcp_host.empty()) {
-    const Status tcp = StartTcp();
-    if (!tcp.ok()) {
-      pool_.reset();
-      ::close(listen_fd_);
-      listen_fd_ = -1;
-      ::close(stop_pipe_[0]);
-      ::close(stop_pipe_[1]);
-      stop_pipe_[0] = stop_pipe_[1] = -1;
-      (void)::unlink(options_.socket_path.c_str());
-      return tcp;
-    }
+    Endpoint& tcp = endpoints.emplace_back();
+    tcp.tcp = true;
+    tcp.host = options_.tcp_host;
+    tcp.port = options_.tcp_port;
   }
-
-  accept_thread_ = std::thread(&VacdServer::AcceptLoop, this);
+  AUTOVAC_RETURN_IF_ERROR(server_.Start(endpoints));
   running_ = true;
   return Status::Ok();
 }
 
 void VacdServer::Stop() {
   if (!running_) return;
-  const char stop = 'x';
-  while (::write(stop_pipe_[1], &stop, 1) < 0 && errno == EINTR) {
-  }
-  accept_thread_.join();
-  // Stop the event loop before draining the pool: a joined loop submits
-  // no new mutations, and in-flight workers may still Post replies to the
-  // (stopped but live) loop object, where they are harmlessly dropped.
-  if (loop_) {
-    loop_->Stop();
-    loop_thread_.join();
-  }
-  pool_.reset();  // drains queued connections, joins workers
-  StopTcp();      // closes TCP conns + listener, destroys the loop
-  // Every in-flight push has been answered; make its bytes durable, and
+  server_.Stop();
+  // Every received push has been answered; make its bytes durable, and
   // leave a fresh checkpoint behind when auto-checkpointing is on so the
   // next start replays nothing.
   (void)store_.Flush();
   if (options_.checkpoint_every > 0 && store_.Checkpoint().ok()) {
     checkpoint_metric_->Increment();
   }
-  ::close(listen_fd_);
-  listen_fd_ = -1;
-  ::close(stop_pipe_[0]);
-  ::close(stop_pipe_[1]);
-  stop_pipe_[0] = stop_pipe_[1] = -1;
-  (void)::unlink(options_.socket_path.c_str());
   running_ = false;
 }
 
-void VacdServer::AcceptLoop() {
-  while (true) {
-    pollfd fds[2];
-    fds[0] = {stop_pipe_[0], POLLIN, 0};
-    fds[1] = {listen_fd_, POLLIN, 0};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if (fds[0].revents != 0) return;  // stop requested
-    if ((fds[1].revents & POLLIN) == 0) continue;
-    const int fd = ::accept(listen_fd_, nullptr, nullptr);
-    if (fd < 0) continue;
-    SetDeadline(fd, options_.deadline_ms);
-    if (options_.sndbuf_bytes > 0) {
-      // Bound the per-connection output buffer: a reader that stops
-      // draining blocks our writes once this fills, the send deadline
-      // fires, and ServeConnection evicts the connection instead of
-      // letting one slow client hold reply memory and a worker forever.
-      const int sndbuf = static_cast<int>(options_.sndbuf_bytes);
-      (void)::setsockopt(fd, SOL_SOCKET, SO_SNDBUF, &sndbuf,
-                         sizeof(sndbuf));
-    }
-    if (pending_.load(std::memory_order_relaxed) >= options_.max_pending) {
-      // Overload: shed at the door with an explicit busy reply.
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      shed_metric_->Increment();
-      (void)WriteNetFrame(
-          fd, ReplyToJson(Reply(ErrorReply{true, "server overloaded"})));
-      ::close(fd);
-      continue;
-    }
-    pending_.fetch_add(1, std::memory_order_relaxed);
-    pool_->Submit([this, fd] { ServeConnection(fd); });
+FrameServer::Answer VacdServer::Handle(std::string payload) {
+  const bool binary = IsBinaryPayload(payload);
+  Result<Request> request =
+      binary ? ParseBinaryRequest(payload) : ParseRequest(payload);
+  if (!request.ok()) {
+    failed_metric_->Increment();
+    return {ErrorPayload({}, false, request.status().ToString()), nullptr};
   }
+  if (RunsOnPool(*request)) {
+    return {{}, [this, binary, request = std::move(*request)] {
+              return Serve(request, binary);
+            }};
+  }
+  return {Serve(*request, binary), nullptr};
 }
 
-void VacdServer::ServeConnection(int fd) {
-  Result<std::string> payload = ReadNetFrame(fd);
-  bool answer = true;
-  bool binary = false;  // answer in the request's encoding
-  Reply reply = ErrorReply{};
-  if (!payload.ok()) {
-    // A clean hang-up (client connected and left) gets no reply.
-    answer = payload.status().code() != StatusCode::kNotFound;
-    reply = ErrorReply{false, payload.status().ToString()};
-  } else {
-    binary = IsBinaryPayload(*payload);
-    Result<Request> request =
-        binary ? ParseBinaryRequest(*payload) : ParseRequest(*payload);
-    if (!request.ok()) {
-      // Garbage that parses as neither encoding gets a JSON error reply:
-      // the sender's encoding is unknown, and JSON is the one a human
-      // (or the seed-era tooling) can read. Real binary clients sniff
-      // the reply encoding, so they handle this fine too.
-      binary = false;
-      reply = ErrorReply{false, request.status().ToString()};
-    } else {
-      reply = Dispatch(*request);
-    }
-  }
+std::string VacdServer::Serve(const Request& request, bool binary) {
+  const Reply reply = Dispatch(request);
   if (const auto* error = std::get_if<ErrorReply>(&reply);
       error != nullptr && !error->busy) {
     failed_metric_->Increment();
   }
-  if (answer) {
-    const Status written = WriteNetFrame(
-        fd, binary ? EncodeBinaryReply(reply) : ReplyToJson(reply));
-    if (written.code() == StatusCode::kDeadlineExceeded) {
-      // The client stopped draining and our bounded SO_SNDBUF filled:
-      // that is an eviction (close on them), not a generic failure.
-      evicted_.fetch_add(1, std::memory_order_relaxed);
-      evicted_metric_->Increment();
-    }
-  }
-  ::close(fd);
-  requests_.fetch_add(1, std::memory_order_relaxed);
-  requests_metric_->Increment();
-  pending_.fetch_sub(1, std::memory_order_relaxed);
+  return binary ? EncodeBinaryReply(reply) : ReplyToJson(reply);
 }
 
 Reply VacdServer::Dispatch(const Request& request) {
@@ -373,9 +230,9 @@ StatusReply VacdServer::Stats(
   reply.epoch = store_.epoch();
   reply.served = store_.served_count();
   reply.quarantined = store_.quarantined_count();
-  reply.requests = requests_.load(std::memory_order_relaxed);
-  reply.shed = shed_.load(std::memory_order_relaxed);
-  reply.evicted = evicted_.load(std::memory_order_relaxed);
+  reply.requests = server_.requests();
+  reply.shed = server_.shed();
+  reply.evicted = server_.evicted();
   reply.checkpoint_epoch = store_.checkpoint_epoch();
   reply.replayed = store_.replayed_records();
   reply.dedup_hits = dedup_hits_.load(std::memory_order_relaxed);
@@ -412,291 +269,6 @@ void VacdServer::RebuildIndex() {
   for (size_t type = 0; type < os::kNumResourceTypes; ++type) {
     index_[type].Build();
   }
-}
-
-// --- TCP event tier ---------------------------------------------------
-
-Status VacdServer::StartTcp() {
-  Endpoint endpoint;
-  endpoint.tcp = true;
-  endpoint.host = options_.tcp_host;
-  endpoint.port = options_.tcp_port;
-  // A deep backlog: fleet ramps connect thousands of clients in bursts,
-  // and a dropped SYN costs the client a multi-second kernel retry.
-  AUTOVAC_ASSIGN_OR_RETURN(tcp_listen_fd_, ListenEndpoint(endpoint, 1024));
-  const int flags = ::fcntl(tcp_listen_fd_, F_GETFL, 0);
-  (void)::fcntl(tcp_listen_fd_, F_SETFL, flags | O_NONBLOCK);
-  const Result<uint16_t> port = ListenPort(tcp_listen_fd_);
-  if (!port.ok()) {
-    StopTcp();
-    return port.status();
-  }
-  tcp_port_ = *port;
-  loop_ = std::make_unique<EventLoop>();
-  Status status = loop_->Init();
-  if (status.ok()) {
-    status = loop_->Add(tcp_listen_fd_, EPOLLIN,
-                        [this](uint32_t) { OnAcceptReady(); });
-  }
-  if (!status.ok()) {
-    StopTcp();
-    return status;
-  }
-  loop_thread_ =
-      std::thread([this] { loop_->Run(500, [this] { SweepIdle(); }); });
-  return Status::Ok();
-}
-
-// Teardown half: Stop() has already stopped the loop and joined its
-// thread (and drained the pool), so conns_ is safe to touch here. Also
-// the cleanup path for a partially-constructed StartTcp.
-void VacdServer::StopTcp() {
-  for (const auto& [id, conn] : conns_) ::close(conn->fd);
-  conns_.clear();
-  conn_count_.store(0, std::memory_order_relaxed);
-  loop_.reset();
-  if (tcp_listen_fd_ >= 0) {
-    ::close(tcp_listen_fd_);
-    tcp_listen_fd_ = -1;
-  }
-  tcp_port_ = 0;
-}
-
-void VacdServer::OnAcceptReady() {
-  while (true) {
-    const int fd = ::accept4(tcp_listen_fd_, nullptr, nullptr,
-                             SOCK_NONBLOCK | SOCK_CLOEXEC);
-    if (fd < 0) {
-      if (errno == EINTR) continue;
-      return;  // EAGAIN: accepted everything pending
-    }
-    if (conns_.size() >= options_.max_connections) {
-      // Shed at the door, like the Unix tier's max_pending: one
-      // best-effort busy frame, then close.
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      shed_metric_->Increment();
-      const std::string frame = EncodeNetFrame(
-          ReplyToJson(Reply(ErrorReply{true, "server overloaded"})));
-      (void)::send(fd, frame.data(), frame.size(),
-                   MSG_NOSIGNAL | MSG_DONTWAIT);
-      ::close(fd);
-      continue;
-    }
-    auto conn = std::make_unique<TcpConn>();
-    conn->fd = fd;
-    conn->id = next_conn_id_++;
-    conn->tokens = options_.rate_limit_burst;
-    const auto now = std::chrono::steady_clock::now();
-    conn->last_refill = now;
-    conn->last_activity = now;
-    const uint64_t id = conn->id;
-    const Status added = loop_->Add(
-        fd, EPOLLIN, [this, id](uint32_t events) { OnConnReady(id, events); });
-    if (!added.ok()) {
-      ::close(fd);
-      continue;
-    }
-    conns_.emplace(id, std::move(conn));
-    conn_count_.fetch_add(1, std::memory_order_relaxed);
-  }
-}
-
-void VacdServer::OnConnReady(uint64_t id, uint32_t events) {
-  const auto it = conns_.find(id);
-  if (it == conns_.end()) return;
-  TcpConn& conn = *it->second;
-  if ((events & (EPOLLERR | EPOLLHUP)) != 0) {
-    CloseConn(id);
-    return;
-  }
-  if ((events & EPOLLOUT) != 0) {
-    FlushConn(conn);
-    if (conns_.find(id) == conns_.end()) return;
-  }
-  if ((events & EPOLLIN) != 0 && !conn.read_closed) {
-    conn.last_activity = std::chrono::steady_clock::now();
-    char buf[64 * 1024];
-    while (true) {
-      const ssize_t n = ::recv(conn.fd, buf, sizeof(buf), 0);
-      if (n > 0) {
-        conn.decoder.Append(std::string_view(buf, static_cast<size_t>(n)));
-        continue;
-      }
-      if (n == 0) {
-        // Peer half-closed. Drop EPOLLIN so the (level-triggered) EOF
-        // condition does not spin the loop while replies drain.
-        conn.read_closed = true;
-        (void)loop_->Modify(conn.fd,
-                            conn.want_write ? uint32_t{EPOLLOUT} : 0u);
-        break;
-      }
-      if (errno == EINTR) continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-      CloseConn(id);
-      return;
-    }
-    ServeFrames(conn);
-    const auto again = conns_.find(id);
-    if (again != conns_.end()) MaybeFinish(*again->second);
-  }
-}
-
-void VacdServer::ServeFrames(TcpConn& conn) {
-  const uint64_t id = conn.id;
-  while (true) {
-    std::string payload;
-    const Result<bool> got = conn.decoder.Next(&payload);
-    if (!got.ok()) {
-      // Framing corruption is unrecoverable: one best-effort error
-      // reply, then close — resyncing a torn stream is not possible.
-      failed_metric_->Increment();
-      SendReply(conn, ErrorReply{false, got.status().ToString()}, false);
-      if (conns_.find(id) != conns_.end()) CloseConn(id);
-      return;
-    }
-    if (!*got) return;
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    requests_metric_->Increment();
-    const bool binary = IsBinaryPayload(payload);
-    if (!TakeToken(conn)) {
-      shed_.fetch_add(1, std::memory_order_relaxed);
-      shed_metric_->Increment();
-      rate_limited_metric_->Increment();
-      SendReply(conn, ErrorReply{true, "rate limited"}, binary);
-      if (conns_.find(id) == conns_.end()) return;
-      continue;
-    }
-    Result<Request> request =
-        binary ? ParseBinaryRequest(payload) : ParseRequest(payload);
-    if (!request.ok()) {
-      failed_metric_->Increment();
-      // Unparseable payloads answer in JSON regardless of the sniff:
-      // the sender's encoding is unknown, and clients sniff replies.
-      SendReply(conn, ErrorReply{false, request.status().ToString()},
-                false);
-      if (conns_.find(id) == conns_.end()) return;
-      continue;
-    }
-    if (IsMutation(*request)) {
-      // Mutations take the exclusive lock and do store IO — off the
-      // loop thread. The reply comes back by connection id; a closed
-      // connection just drops it.
-      conn.inflight++;
-      pool_->Submit([this, id, binary, req = std::move(*request)] {
-        Reply reply = Dispatch(req);
-        if (const auto* error = std::get_if<ErrorReply>(&reply);
-            error != nullptr && !error->busy) {
-          failed_metric_->Increment();
-        }
-        loop_->Post([this, id, binary, reply = std::move(reply)] {
-          const auto it = conns_.find(id);
-          if (it == conns_.end()) return;
-          it->second->inflight--;
-          SendReply(*it->second, reply, binary);
-          const auto again = conns_.find(id);
-          if (again != conns_.end()) MaybeFinish(*again->second);
-        });
-      });
-    } else {
-      const Reply reply = Dispatch(*request);
-      if (const auto* error = std::get_if<ErrorReply>(&reply);
-          error != nullptr && !error->busy) {
-        failed_metric_->Increment();
-      }
-      SendReply(conn, reply, binary);
-      if (conns_.find(id) == conns_.end()) return;
-    }
-  }
-}
-
-bool VacdServer::TakeToken(TcpConn& conn) {
-  if (options_.rate_limit_rps <= 0.0) return true;
-  const auto now = std::chrono::steady_clock::now();
-  const double elapsed =
-      std::chrono::duration<double>(now - conn.last_refill).count();
-  conn.last_refill = now;
-  conn.tokens = std::min(options_.rate_limit_burst,
-                         conn.tokens + elapsed * options_.rate_limit_rps);
-  if (conn.tokens < 1.0) return false;
-  conn.tokens -= 1.0;
-  return true;
-}
-
-void VacdServer::SendReply(TcpConn& conn, const Reply& reply, bool binary) {
-  conn.outbuf +=
-      EncodeNetFrame(binary ? EncodeBinaryReply(reply) : ReplyToJson(reply));
-  conn.last_activity = std::chrono::steady_clock::now();
-  FlushConn(conn);
-}
-
-void VacdServer::FlushConn(TcpConn& conn) {
-  const uint64_t id = conn.id;
-  while (conn.out_pos < conn.outbuf.size()) {
-    const ssize_t n =
-        ::send(conn.fd, conn.outbuf.data() + conn.out_pos,
-               conn.outbuf.size() - conn.out_pos, MSG_NOSIGNAL);
-    if (n > 0) {
-      conn.out_pos += static_cast<size_t>(n);
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) break;
-    CloseConn(id);
-    return;
-  }
-  if (conn.out_pos >= conn.outbuf.size()) {
-    conn.outbuf.clear();
-    conn.out_pos = 0;
-    if (conn.want_write) {
-      conn.want_write = false;
-      (void)loop_->Modify(conn.fd,
-                          conn.read_closed ? 0u : uint32_t{EPOLLIN});
-    }
-    MaybeFinish(conn);
-    return;
-  }
-  if (conn.outbuf.size() - conn.out_pos > options_.write_buffer_limit) {
-    // The reader stopped draining and the bounded buffer filled: evict,
-    // the event-tier analogue of the Unix tier's send-deadline eviction.
-    evicted_.fetch_add(1, std::memory_order_relaxed);
-    evicted_metric_->Increment();
-    CloseConn(id);
-    return;
-  }
-  if (!conn.want_write) {
-    conn.want_write = true;
-    (void)loop_->Modify(conn.fd, (conn.read_closed ? 0u : uint32_t{EPOLLIN}) |
-                                     uint32_t{EPOLLOUT});
-  }
-}
-
-void VacdServer::CloseConn(uint64_t id) {
-  const auto it = conns_.find(id);
-  if (it == conns_.end()) return;
-  loop_->Remove(it->second->fd);
-  ::close(it->second->fd);
-  conns_.erase(it);
-  conn_count_.fetch_sub(1, std::memory_order_relaxed);
-}
-
-void VacdServer::MaybeFinish(TcpConn& conn) {
-  if (conn.read_closed && conn.inflight == 0 &&
-      conn.out_pos >= conn.outbuf.size()) {
-    CloseConn(conn.id);
-  }
-}
-
-void VacdServer::SweepIdle() {
-  if (options_.idle_timeout_ms == 0) return;
-  const auto now = std::chrono::steady_clock::now();
-  std::vector<uint64_t> stale;
-  for (const auto& [id, conn] : conns_) {
-    if (conn->inflight == 0 &&
-        MsSince(conn->last_activity, now) > options_.idle_timeout_ms) {
-      stale.push_back(id);
-    }
-  }
-  for (const uint64_t id : stale) CloseConn(id);
 }
 
 }  // namespace autovac::net

@@ -1,28 +1,14 @@
 // vacd: the long-lived vaccine distribution server (§V deployment,
 // scaled from "copy the vaccine to the host" to a feed service).
 //
-// Two serving tiers share one store:
-//
-//   * The Unix-domain tier: one accept thread, a fixed
-//     support/threadpool of request workers, connection per request.
-//     The accept queue is explicitly bounded: when `max_pending`
-//     requests are already in flight the server answers the new
-//     connection with a busy reply and closes it — overload is shed at
-//     the door with a counted metric, never queued unbounded. Every
-//     accepted connection gets SO_RCVTIMEO/SO_SNDTIMEO so one stalled
-//     client cannot pin a worker past the request deadline.
-//
-//   * The TCP tier (enabled by `tcp_host`): a single-threaded epoll
-//     event loop (net/eventloop.h) driving non-blocking per-connection
-//     read/write state machines — persistent connections, pipelined
-//     frames, JSON or binary payloads (net/binary.h). Read-only
-//     requests (query/pull/status) are answered inline on the loop
-//     thread under the shared lock; mutations (push/quarantine) are
-//     handed to the worker pool and their replies posted back to the
-//     loop. Flow control per connection: a token bucket sheds BUSY when
-//     a client out-runs its rate, a bounded output buffer evicts
-//     readers that stop draining, `max_connections` sheds new connects
-//     at the door, and an idle sweep closes connections that go quiet.
+// One frame server (net/frameserver.h) serves both listeners: the Unix
+// socket and, when `tcp_host` is set, a TCP port. Both speak the same
+// frames — JSON or binary payloads (net/binary.h), persistent
+// connections, pipelined requests — under the same flow control
+// (FlowControl). Queries, status and delta pulls are answered inline on
+// the loop thread under the shared lock; mutations (push/quarantine)
+// and full pulls, which serialize the whole feed, run on the server's
+// pool.
 //
 // Store access is a reader/writer lock: PUSH/QUARANTINE take it
 // exclusively (the store appends + the match index rebuilds),
@@ -34,38 +20,28 @@
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <shared_mutex>
 #include <string>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "net/eventloop.h"
-#include "net/frame.h"
+#include "net/frameserver.h"
 #include "net/protocol.h"
 #include "support/match_index.h"
 #include "support/metrics.h"
 #include "support/status.h"
-#include "support/threadpool.h"
 #include "vacstore/store.h"
 
 namespace autovac::net {
 
-struct VacdOptions {
+// The flow-control knobs (FlowControl: max_connections,
+// write_buffer_limit, rate_limit_rps/burst, idle_timeout_ms) cover both
+// listeners.
+struct VacdOptions : FlowControl {
   std::string socket_path;
-  size_t threads = 4;       // request worker pool size
-  // In-flight cap before shedding BUSY; 0 sheds every connection (a
-  // drain mode, and the deterministic way to test the shed path).
-  size_t max_pending = 64;
-  uint64_t deadline_ms = 5000;  // per-request socket read/write deadline
-  // Bounded per-connection output buffer (SO_SNDBUF): a slow reader can
-  // absorb at most this much before the write deadline starts ticking
-  // and the connection is evicted. 0 keeps the kernel default.
-  size_t sndbuf_bytes = 128 * 1024;
+  size_t threads = 4;  // pool size for mutations
   // Push replies remembered per request id for idempotent retries; a
   // retried push whose reply was torn gets the recorded reply instead of
   // a second application. 0 disables dedup.
@@ -74,26 +50,12 @@ struct VacdOptions {
   // Stop), bounding restart recovery to O(delta-since-checkpoint).
   // 0 = never checkpoint automatically.
   size_t checkpoint_every = 0;
-
-  // --- TCP event-driven tier ---
-  // Numeric IPv4 (or "localhost") to listen on; empty disables the TCP
-  // tier. No authentication yet: bind loopback unless the network is
-  // trusted (cross-machine auth lands with the multi-node fleet work).
+  // Numeric IPv4 (or "localhost") for the TCP listener; empty serves the
+  // Unix socket only. No authentication yet: bind loopback unless the
+  // network is trusted (cross-machine auth lands with the multi-node
+  // fleet work).
   std::string tcp_host;
   uint16_t tcp_port = 0;  // 0 = ephemeral; read the result via tcp_port()
-  // Concurrent TCP connections before new connects are shed BUSY.
-  size_t max_connections = 4096;
-  // Buffered reply bytes per connection before a non-draining reader is
-  // evicted — the event-tier analogue of the SO_SNDBUF write deadline.
-  size_t write_buffer_limit = 4u << 20;
-  // Per-connection token bucket: sustained requests/second and burst
-  // capacity; a client that out-runs it gets BUSY replies (counted as
-  // shed). 0 rps disables rate limiting.
-  double rate_limit_rps = 0.0;
-  double rate_limit_burst = 64.0;
-  // Connections with no traffic for this long are closed by the idle
-  // sweep. 0 disables.
-  uint64_t idle_timeout_ms = 60000;
 };
 
 class VacdServer {
@@ -104,15 +66,15 @@ class VacdServer {
   VacdServer(const VacdServer&) = delete;
   VacdServer& operator=(const VacdServer&) = delete;
 
-  // Binds the socket (removing a stale one), builds the match index and
-  // starts the accept thread + worker pool.
+  // Builds the match index, then binds the Unix socket (removing a stale
+  // one) and the TCP port, if any, and starts serving.
   [[nodiscard]] Status Start();
 
-  // Graceful, idempotent shutdown: stops accepting, finishes every
-  // in-flight request, fsyncs the store (plus a final checkpoint when
-  // checkpoint_every is set), unlinks the socket. Called by the
-  // destructor, and what the CLI runs on SIGTERM — the draining half of
-  // "drain, then restart with bounded recovery".
+  // Graceful, idempotent shutdown: stops accepting, answers every
+  // request received before it on either listener, fsyncs the store
+  // (plus a final checkpoint when checkpoint_every is set), unlinks the
+  // socket. Called by the destructor, and what the CLI runs on SIGTERM —
+  // the draining half of "drain, then restart with bounded recovery".
   void Stop();
 
   // Checkpoints the store now (exclusive lock). Safe while serving.
@@ -126,34 +88,17 @@ class VacdServer {
     return store_;
   }
 
-  // The TCP tier's bound port (resolves tcp_port = 0 to the ephemeral
-  // port the kernel assigned). Valid after Start(); 0 when disabled.
-  [[nodiscard]] uint16_t tcp_port() const { return tcp_port_; }
-
-  // Live TCP connections (event tier only).
-  [[nodiscard]] size_t tcp_connections() const {
-    return conn_count_.load(std::memory_order_relaxed);
-  }
+  // The TCP listener's bound port (resolves tcp_port = 0 to the
+  // ephemeral port the kernel assigned). Valid after Start(); 0 when
+  // there is no TCP listener.
+  [[nodiscard]] uint16_t tcp_port() const { return server_.tcp_port(); }
 
  private:
-  // One TCP connection's state machine. Owned by the loop thread; never
-  // touched from anywhere else (worker replies arrive via Post).
-  struct TcpConn {
-    int fd = -1;
-    uint64_t id = 0;
-    FrameDecoder decoder;
-    std::string outbuf;        // encoded reply frames awaiting the socket
-    size_t out_pos = 0;
-    bool want_write = false;   // EPOLLOUT currently armed
-    bool read_closed = false;  // peer half-closed (or we stopped reading)
-    size_t inflight = 0;       // mutations at the pool, replies pending
-    double tokens = 0.0;       // rate-limit bucket
-    std::chrono::steady_clock::time_point last_refill;
-    std::chrono::steady_clock::time_point last_activity;
-  };
-
-  void AcceptLoop();
-  void ServeConnection(int fd);
+  // The frame server's handler: parses one request (either encoding)
+  // and answers it inline or on the pool (see the file comment).
+  [[nodiscard]] FrameServer::Answer Handle(std::string payload);
+  // Dispatches and encodes the reply in the request's encoding.
+  [[nodiscard]] std::string Serve(const Request& request, bool binary);
   [[nodiscard]] Reply Dispatch(const Request& request);
   // Counter snapshot under an already-held shared lock (the Dispatch
   // status path and the public Stats() share this body).
@@ -162,24 +107,6 @@ class VacdServer {
   // Rebuilds the per-resource-type indexes from served store entries.
   // Caller holds the exclusive lock.
   void RebuildIndex();
-
-  // --- TCP event tier (loop thread unless noted) ---
-  [[nodiscard]] Status StartTcp();
-  void StopTcp();
-  void OnAcceptReady();
-  void OnConnReady(uint64_t id, uint32_t events);
-  // Decodes and serves every complete frame buffered on `conn`.
-  void ServeFrames(TcpConn& conn);
-  // True when the bucket granted one request; refills lazily.
-  [[nodiscard]] bool TakeToken(TcpConn& conn);
-  void SendReply(TcpConn& conn, const Reply& reply, bool binary);
-  // Drives the buffered writer; arms/disarms EPOLLOUT; evicts when the
-  // buffer outgrows write_buffer_limit.
-  void FlushConn(TcpConn& conn);
-  void CloseConn(uint64_t id);
-  // Closes the connection when nothing more can happen on it.
-  void MaybeFinish(TcpConn& conn);
-  void SweepIdle();
 
   vacstore::VaccineStore store_;
   VacdOptions options_;
@@ -190,26 +117,7 @@ class VacdServer {
   std::array<PatternIndex, os::kNumResourceTypes> index_;
   std::array<std::vector<size_t>, os::kNumResourceTypes> entry_of_id_;
 
-  int listen_fd_ = -1;
-  int stop_pipe_[2] = {-1, -1};
-  std::thread accept_thread_;
-  std::unique_ptr<ThreadPool> pool_;
   bool running_ = false;
-
-  // TCP tier state. conns_ is loop-thread-only; conn_count_ mirrors its
-  // size for cross-thread reads.
-  std::unique_ptr<EventLoop> loop_;
-  std::thread loop_thread_;
-  int tcp_listen_fd_ = -1;
-  uint16_t tcp_port_ = 0;
-  uint64_t next_conn_id_ = 1;
-  std::unordered_map<uint64_t, std::unique_ptr<TcpConn>> conns_;
-  std::atomic<size_t> conn_count_{0};
-
-  std::atomic<size_t> pending_{0};    // accepted, not yet answered
-  std::atomic<uint64_t> requests_{0};  // answered (ok or error)
-  std::atomic<uint64_t> shed_{0};      // refused with busy
-  std::atomic<uint64_t> evicted_{0};   // write deadline hit, closed on them
   std::atomic<uint64_t> dedup_hits_{0};  // pushes answered from the window
 
   // Request-id -> recorded reply, FIFO-bounded to push_dedup_window.
@@ -218,18 +126,17 @@ class VacdServer {
   std::deque<std::string> dedup_order_;
   size_t added_since_checkpoint_ = 0;  // guarded by mutex_
 
-  Counter* requests_metric_ = nullptr;
-  Counter* rate_limited_metric_ = nullptr;
   Counter* quarantine_metric_ = nullptr;
-  Counter* shed_metric_ = nullptr;
   Counter* failed_metric_ = nullptr;
-  Counter* evicted_metric_ = nullptr;
   Counter* push_added_metric_ = nullptr;
   Counter* push_duplicate_metric_ = nullptr;
   Counter* push_quarantined_metric_ = nullptr;
   Counter* push_deduped_metric_ = nullptr;
   Counter* query_match_metric_ = nullptr;
   Counter* checkpoint_metric_ = nullptr;
+
+  // Declared last: its threads use everything above.
+  FrameServer server_;
 };
 
 }  // namespace autovac::net

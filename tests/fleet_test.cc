@@ -581,7 +581,6 @@ TEST(FleetChaos, LyingNetworkBetweenWorkerAndCoordinator) {
 
   fleet::CoordinatorOptions options;
   options.socket_path = sock.path();
-  options.deadline_ms = 500;
   fleet::FleetCoordinator coordinator(wave, FastOptions(), options);
   ASSERT_TRUE(coordinator.Start().ok());
 

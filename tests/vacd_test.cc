@@ -1,20 +1,32 @@
 // vacd coverage, inside-out: frame codec over a socketpair, protocol
 // JSON round-trips, then the real server on a scratch Unix socket —
 // push/query/pull/status end to end, conflict quarantine at the serving
-// layer, explicit BUSY overload shedding, request deadlines against a
+// layer, explicit BUSY overload shedding, the idle sweep against a
 // stalled client, malformed-frame rejection, and byte-identical PULL
 // replies across a server restart (the feed is content-addressed and
 // canonically serialized, so restarting must not change a single byte).
+// Then the frame server's robustness under hostile clients (header-only
+// frames, descriptor exhaustion, traffic that must not starve the idle
+// sweep), a reply far larger than its write buffer, and its draining
+// Stop().
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <signal.h>
+#include <sys/resource.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <sys/un.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <variant>
 #include <vector>
@@ -24,6 +36,7 @@
 #include "net/frame.h"
 #include "net/protocol.h"
 #include "net/server.h"
+#include "support/binio.h"
 #include "vaccine/json.h"
 #include "vacstore/store.h"
 
@@ -88,6 +101,70 @@ int ConnectTo(const std::string& socket_path) {
   return fd;
 }
 
+int ConnectTcp(uint16_t port) {
+  const int fd = socket(AF_INET, SOCK_STREAM, 0);
+  EXPECT_GE(fd, 0);
+  sockaddr_in addr = {};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  EXPECT_EQ(inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+  EXPECT_EQ(connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr), 0);
+  timeval timeout = {5, 0};
+  setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
+  return fd;
+}
+
+// A frame header that claims `length` payload bytes.
+std::string FrameHeader(uint32_t length) {
+  std::string header;
+  PutU32(header, kNetFrameMagic);
+  PutU32(header, length);
+  return header;
+}
+
+bool IsBusyReply(const Result<std::string>& raw) {
+  if (!raw.ok()) return false;
+  const Result<Reply> reply = ParseReply(*raw);
+  if (!reply.ok()) return false;
+  const auto* error = std::get_if<ErrorReply>(&*reply);
+  return error != nullptr && error->busy;
+}
+
+// A forked child, SIGKILLed and reaped when the test leaves scope (an
+// assertion failure included).
+class Child {
+ public:
+  explicit Child(pid_t pid) : pid_(pid) {}
+  ~Child() {
+    if (pid_ <= 0) return;
+    kill(pid_, SIGKILL);
+    waitpid(pid_, nullptr, 0);
+  }
+  Child(const Child&) = delete;
+  Child& operator=(const Child&) = delete;
+  pid_t pid() const { return pid_; }
+
+ private:
+  pid_t pid_;
+};
+
+// Resident set of process `pid` in kB (VmRSS), or 0 when unreadable.
+uint64_t VmRssKb(pid_t pid) {
+  std::ifstream status("/proc/" + std::to_string(pid) + "/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) {
+      return std::strtoull(line.c_str() + 6, nullptr, 10);
+    }
+  }
+  return 0;
+}
+
+double CpuMs(const rusage& usage) {
+  return (usage.ru_utime.tv_sec + usage.ru_stime.tv_sec) * 1e3 +
+         (usage.ru_utime.tv_usec + usage.ru_stime.tv_usec) / 1e3;
+}
+
 // ---------------------------------------------------------------------
 // Frame codec
 // ---------------------------------------------------------------------
@@ -141,6 +218,36 @@ TEST(NetFrame, TruncatedFrameIsCorruption) {
   auto read = ReadNetFrame(fds[1]);
   EXPECT_EQ(read.status().code(), StatusCode::kInternal);
   close(fds[1]);
+}
+
+TEST(NetFrame, HeaderOnlyFrameReservesNothing) {
+  // In a child, so its peak RSS measures this read alone.
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    int fds[2];
+    if (socketpair(AF_UNIX, SOCK_STREAM, 0, fds) != 0) _exit(2);
+    // A header claiming the largest legal payload, then a hang-up.
+    const std::string header = FrameHeader(kMaxNetFramePayload);
+    if (write(fds[0], header.data(), header.size()) !=
+        static_cast<ssize_t>(header.size())) {
+      _exit(2);
+    }
+    close(fds[0]);
+    rusage before = {};
+    rusage after = {};
+    getrusage(RUSAGE_SELF, &before);
+    const auto read = ReadNetFrame(fds[1]);
+    getrusage(RUSAGE_SELF, &after);
+    if (read.status().code() != StatusCode::kInternal) _exit(3);
+    // ru_maxrss is in kB: the claim is 64 MiB, the cost must not be.
+    _exit(after.ru_maxrss - before.ru_maxrss < 16 * 1024 ? 0 : 4);
+  }
+  int status = 0;
+  ASSERT_EQ(waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0)
+      << "3: the torn frame was not reported; 4: the claim was allocated";
 }
 
 // ---------------------------------------------------------------------
@@ -415,7 +522,7 @@ TEST(Vacd, OverloadIsShedWithExplicitBusy) {
   VacdOptions options;
   options.socket_path = sock.path();
   options.threads = 1;
-  options.max_pending = 0;  // every connection is over the line
+  options.max_connections = 0;  // every connection is over the line
   VacdServer server(vacstore::VaccineStore(), options);
   ASSERT_TRUE(server.Start().ok());
 
@@ -445,12 +552,12 @@ TEST(Vacd, StalledClientHitsTheDeadlineAndServerSurvives) {
   VacdOptions options;
   options.socket_path = sock.path();
   options.threads = 2;
-  options.deadline_ms = 100;
+  options.idle_timeout_ms = 100;
   VacdServer server(vacstore::VaccineStore(), options);
   ASSERT_TRUE(server.Start().ok());
 
-  // Half a frame header, then silence: the worker's read deadline must
-  // fire and the server must close the connection.
+  // Half a frame header, then silence: the idle sweep must close the
+  // connection.
   int fd = ConnectTo(sock.path());
   const unsigned char half[4] = {0x41, 0x56, 0x4E, 0x46};
   ASSERT_EQ(write(fd, half, sizeof half), static_cast<ssize_t>(sizeof half));
@@ -461,7 +568,7 @@ TEST(Vacd, StalledClientHitsTheDeadlineAndServerSurvives) {
   EXPECT_EQ(n, 0) << "server did not close the stalled connection";
   close(fd);
 
-  // The stalled worker was released; real requests still work.
+  // The server kept serving meanwhile; real requests still work.
   VacdClient client(sock.path());
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
@@ -492,6 +599,330 @@ TEST(Vacd, MalformedFrameGetsAnErrorReplyNotACrash) {
   auto stats = client.Stats();
   ASSERT_TRUE(stats.ok());
   server.Stop();
+}
+
+// ---------------------------------------------------------------------
+// The frame server under hostile clients, and its draining Stop()
+// ---------------------------------------------------------------------
+
+TEST(Vacd, HeaderOnlyFramesCostOnlyTheirBytes) {
+  ScratchPath sock("vacd_header_only.sock");
+  int ready[2];
+  ASSERT_EQ(pipe(ready), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    VacdOptions options;
+    options.socket_path = sock.path();
+    VacdServer server(vacstore::VaccineStore(), options);
+    if (!server.Start().ok()) _exit(2);
+    const char byte = 'r';
+    if (write(ready[1], &byte, 1) != 1) _exit(2);
+    pause();  // until the parent's SIGKILL
+    _exit(0);
+  }
+  Child child(pid);
+  close(ready[1]);
+  char byte = 0;
+  ASSERT_EQ(read(ready[0], &byte, 1), 1);
+  close(ready[0]);
+  ASSERT_TRUE(VacdClient(sock.path()).Stats().ok());
+  const uint64_t rss_before = VmRssKb(pid);
+  ASSERT_GT(rss_before, 0u);
+
+  // Four clients each promise the largest legal payload and send
+  // nothing more.
+  const std::string header = FrameHeader(kMaxNetFramePayload);
+  std::vector<int> clients;
+  for (int i = 0; i < 4; ++i) {
+    clients.push_back(ConnectTo(sock.path()));
+    ASSERT_EQ(write(clients.back(), header.data(), header.size()),
+              static_cast<ssize_t>(header.size()));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(500));
+  const uint64_t rss_after = VmRssKb(pid);
+  EXPECT_LT(static_cast<int64_t>(rss_after) - static_cast<int64_t>(rss_before),
+            16 * 1024)
+      << "VmRSS " << rss_before << " kB -> " << rss_after << " kB";
+  // And the server is still answering.
+  EXPECT_TRUE(VacdClient(sock.path()).Stats().ok());
+  for (const int fd : clients) close(fd);
+}
+
+TEST(Vacd, DescriptorExhaustionShedsBusyWithoutSpinning) {
+  ScratchPath sock("vacd_nofile.sock");
+  int port_pipe[2];
+  int go_pipe[2];
+  int cpu_pipe[2];
+  ASSERT_EQ(pipe(port_pipe), 0);
+  ASSERT_EQ(pipe(go_pipe), 0);
+  ASSERT_EQ(pipe(cpu_pipe), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    close(port_pipe[0]);
+    close(go_pipe[1]);
+    close(cpu_pipe[0]);
+    // Only this child runs short of descriptors.
+    const rlimit limit = {32, 32};
+    if (setrlimit(RLIMIT_NOFILE, &limit) != 0) _exit(2);
+    VacdOptions options;
+    options.socket_path = sock.path();
+    options.tcp_host = "127.0.0.1";
+    options.threads = 1;
+    VacdServer server(vacstore::VaccineStore(), options);
+    if (!server.Start().ok()) _exit(3);
+    const uint16_t port = server.tcp_port();
+    if (write(port_pipe[1], &port, sizeof port) != sizeof port) _exit(4);
+    // Once every client has connected, measure this process's CPU over
+    // one second of wall time.
+    char byte = 0;
+    if (read(go_pipe[0], &byte, 1) != 1) _exit(5);
+    rusage before = {};
+    rusage after = {};
+    getrusage(RUSAGE_SELF, &before);
+    sleep(1);
+    getrusage(RUSAGE_SELF, &after);
+    const double cpu_ms = CpuMs(after) - CpuMs(before);
+    if (write(cpu_pipe[1], &cpu_ms, sizeof cpu_ms) != sizeof cpu_ms) {
+      _exit(6);
+    }
+    pause();  // until the parent's SIGKILL
+    _exit(0);
+  }
+  Child child(pid);
+  close(port_pipe[1]);
+  close(go_pipe[0]);
+  close(cpu_pipe[1]);
+  uint16_t port = 0;
+  ASSERT_EQ(read(port_pipe[0], &port, sizeof port),
+            static_cast<ssize_t>(sizeof port));
+
+  // More clients than the child has descriptors left.
+  std::vector<int> clients;
+  for (int i = 0; i < 40; ++i) clients.push_back(ConnectTcp(port));
+  // The last one is over the limit: BUSY at the door, within a second.
+  const timeval one_second = {1, 0};
+  setsockopt(clients.back(), SOL_SOCKET, SO_RCVTIMEO, &one_second,
+             sizeof one_second);
+  const Result<std::string> shed = ReadNetFrame(clients.back());
+  EXPECT_TRUE(IsBusyReply(shed))
+      << (shed.ok() ? *shed : shed.status().ToString());
+
+  const char go = 'g';
+  ASSERT_EQ(write(go_pipe[1], &go, 1), 1);
+  double cpu_ms = -1;
+  ASSERT_EQ(read(cpu_pipe[0], &cpu_ms, sizeof cpu_ms),
+            static_cast<ssize_t>(sizeof cpu_ms));
+  EXPECT_LT(cpu_ms, 300.0) << "the accept loop spins on EMFILE";
+  for (const int fd : clients) close(fd);
+  close(port_pipe[0]);
+  close(go_pipe[1]);
+  close(cpu_pipe[0]);
+}
+
+TEST(Vacd, AcceptPausesWhileNoSpareDescriptorCanBeOpened) {
+  ScratchPath sock("vacd_no_spare.sock");
+  int port_pipe[2];
+  int go_pipe[2];
+  int cpu_pipe[2];
+  ASSERT_EQ(pipe(port_pipe), 0);
+  ASSERT_EQ(pipe(go_pipe), 0);
+  ASSERT_EQ(pipe(cpu_pipe), 0);
+  const pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    close(port_pipe[0]);
+    close(go_pipe[1]);
+    close(cpu_pipe[0]);
+    VacdOptions options;
+    options.socket_path = sock.path();
+    options.tcp_host = "127.0.0.1";
+    options.threads = 1;
+    VacdServer server(vacstore::VaccineStore(), options);
+    if (!server.Start().ok()) _exit(3);
+    // Every descriptor number is now over the limit, so the spare, once
+    // spent, cannot be reopened: the server is left with none.
+    rlimit saved = {};
+    if (getrlimit(RLIMIT_NOFILE, &saved) != 0) _exit(2);
+    const rlimit exhausted = {3, saved.rlim_max};
+    if (setrlimit(RLIMIT_NOFILE, &exhausted) != 0) _exit(2);
+    const uint16_t port = server.tcp_port();
+    if (write(port_pipe[1], &port, sizeof port) != sizeof port) _exit(4);
+    // With the client waiting, measure this process's CPU over one
+    // second of wall time; then free the descriptors again.
+    char byte = 0;
+    if (read(go_pipe[0], &byte, 1) != 1) _exit(5);
+    rusage before = {};
+    rusage after = {};
+    getrusage(RUSAGE_SELF, &before);
+    sleep(1);
+    getrusage(RUSAGE_SELF, &after);
+    if (setrlimit(RLIMIT_NOFILE, &saved) != 0) _exit(6);
+    const double cpu_ms = CpuMs(after) - CpuMs(before);
+    if (write(cpu_pipe[1], &cpu_ms, sizeof cpu_ms) != sizeof cpu_ms) {
+      _exit(7);
+    }
+    pause();  // until the parent's SIGKILL
+    _exit(0);
+  }
+  Child child(pid);
+  close(port_pipe[1]);
+  close(go_pipe[0]);
+  close(cpu_pipe[1]);
+  uint16_t port = 0;
+  ASSERT_EQ(read(port_pipe[0], &port, sizeof port),
+            static_cast<ssize_t>(sizeof port));
+
+  const int client = ConnectTcp(port);
+  ASSERT_TRUE(
+      WriteNetFrame(client, RequestToJson(Request(StatusRequest{}))).ok());
+  const char go = 'g';
+  ASSERT_EQ(write(go_pipe[1], &go, 1), 1);
+  double cpu_ms = -1;
+  ASSERT_EQ(read(cpu_pipe[0], &cpu_ms, sizeof cpu_ms),
+            static_cast<ssize_t>(sizeof cpu_ms));
+  EXPECT_LT(cpu_ms, 300.0) << "the accept loop spins without a spare";
+  // Once descriptors free up, the tick reopens the spare and the waiting
+  // client is accepted and answered.
+  const Result<std::string> raw = ReadNetFrame(client);
+  ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+  const Result<Reply> reply = ParseReply(*raw);
+  ASSERT_TRUE(reply.ok()) << *raw;
+  EXPECT_NE(std::get_if<StatusReply>(&*reply), nullptr) << *raw;
+  close(client);
+  close(port_pipe[0]);
+  close(go_pipe[1]);
+  close(cpu_pipe[0]);
+}
+
+TEST(Vacd, FeedLargerThanTheWriteBufferReachesALateReader) {
+  ScratchPath sock("vacd_large_feed.sock");
+  VacdOptions options;
+  options.socket_path = sock.path();
+  options.tcp_host = "127.0.0.1";
+  VacdServer server(vacstore::VaccineStore(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // About 8.4 MB of feed, twice the write-buffer limit, in one reply.
+  constexpr size_t kVaccines = 400;
+  std::vector<vaccine::Vaccine> batch;
+  for (size_t i = 0; i < kVaccines; ++i) {
+    batch.push_back(MakeVaccine(os::ResourceType::kMutex,
+                                "feed-" + std::to_string(i)));
+    batch.back().malware_name.append(21000, 'x');
+  }
+  // Generous deadlines: sanitizer builds move megabytes slowly.
+  constexpr uint64_t kDeadlineMs = 60000;
+  const Result<PushReply> pushed =
+      VacdClient(sock.path(), kDeadlineMs).Push(batch);
+  ASSERT_TRUE(pushed.ok()) << pushed.status().ToString();
+  ASSERT_EQ(pushed->added, kVaccines);
+
+  const std::string pull = RequestToJson(Request(PullRequest{0, 0}));
+  for (const bool tcp : {false, true}) {
+    SCOPED_TRACE(tcp ? "tcp" : "unix");
+    const int fd =
+        tcp ? ConnectTcp(server.tcp_port()) : ConnectTo(sock.path());
+    const timeval deadline = {kDeadlineMs / 1000, 0};
+    setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &deadline, sizeof deadline);
+    ASSERT_TRUE(WriteNetFrame(fd, pull).ok());
+    // The client reads nothing until the server has written all that
+    // the socket takes.
+    std::this_thread::sleep_for(std::chrono::milliseconds(300));
+    const Result<std::string> raw = ReadNetFrame(fd);
+    close(fd);
+    ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+    EXPECT_GT(raw->size(), 2 * options.write_buffer_limit);
+    const Result<Reply> reply = ParseReply(*raw);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    const auto* feed = std::get_if<PullReply>(&*reply);
+    ASSERT_NE(feed, nullptr);
+    EXPECT_EQ(feed->items.size(), kVaccines);
+  }
+  EXPECT_EQ(server.Stats().evicted, 0u);
+}
+
+TEST(TcpServing, IdleSweepRunsUnderTraffic) {
+  ScratchPath sock("vacd_chatter.sock");
+  VacdOptions options;
+  options.socket_path = sock.path();
+  options.tcp_host = "127.0.0.1";
+  options.idle_timeout_ms = 200;
+  VacdServer server(vacstore::VaccineStore(), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  const int idle = ConnectTcp(server.tcp_port());
+  ASSERT_TRUE(
+      WriteNetFrame(idle, RequestToJson(Request(StatusRequest{}))).ok());
+  ASSERT_TRUE(ReadNetFrame(idle).ok());
+
+  // A second client keeps the loop busy with a request every 100 ms —
+  // more often than the loop ticks — for 2.5 s.
+  const VacdClient chatty("tcp:127.0.0.1:" +
+                          std::to_string(server.tcp_port()));
+  for (int i = 0; i < 25; ++i) {
+    ASSERT_TRUE(chatty.Stats().ok()) << i;
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  }
+  // The quiet connection was swept while the traffic went on: its EOF
+  // is already there, without waiting for the loop to go idle.
+  char byte = 0;
+  EXPECT_EQ(recv(idle, &byte, 1, MSG_DONTWAIT), 0)
+      << "the idle connection is still open";
+  close(idle);
+}
+
+TEST(Vacd, StopAnswersEveryRequestReceivedBeforeIt) {
+  ScratchPath store_file("vacd_drain_store.jsonl");
+  ScratchPath sock("vacd_drain.sock");
+  auto store = vacstore::VaccineStore::Open(store_file.path());
+  ASSERT_TRUE(store.ok()) << store.status().ToString();
+  VacdOptions options;
+  options.socket_path = sock.path();
+  options.tcp_host = "127.0.0.1";
+  options.threads = 1;  // pushes queue behind one another
+  VacdServer server(std::move(*store), options);
+  ASSERT_TRUE(server.Start().ok());
+
+  // Eight Unix then eight TCP clients each send one durable push of
+  // fifty vaccines and wait; Stop() arrives while most are queued.
+  constexpr int kClients = 16;
+  constexpr int kBatch = 50;
+  std::vector<int> clients;
+  for (int c = 0; c < kClients; ++c) {
+    PushRequest push;
+    for (int v = 0; v < kBatch; ++v) {
+      push.vaccines.push_back(MakeVaccine(
+          os::ResourceType::kMutex,
+          "drain-" + std::to_string(c) + "-" + std::to_string(v)));
+    }
+    clients.push_back(c < kClients / 2 ? ConnectTo(sock.path())
+                                       : ConnectTcp(server.tcp_port()));
+    ASSERT_TRUE(
+        WriteNetFrame(clients.back(), RequestToJson(Request(push))).ok());
+  }
+  const auto give_up =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.Stats().requests < static_cast<uint64_t>(kClients) &&
+         std::chrono::steady_clock::now() < give_up) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server.Stop();
+
+  for (int c = 0; c < kClients; ++c) {
+    const Result<std::string> raw = ReadNetFrame(clients[c]);
+    ASSERT_TRUE(raw.ok()) << "client " << c << ": "
+                          << raw.status().ToString();
+    const Result<Reply> reply = ParseReply(*raw);
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    const auto* pushed = std::get_if<PushReply>(&*reply);
+    ASSERT_NE(pushed, nullptr) << *raw;
+    EXPECT_EQ(pushed->added, static_cast<uint64_t>(kBatch));
+    close(clients[c]);
+  }
+  EXPECT_EQ(server.store().entries().size(),
+            static_cast<size_t>(kClients * kBatch));
 }
 
 // ---------------------------------------------------------------------

@@ -86,6 +86,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <initializer_list>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -175,30 +176,26 @@ void PrintUsage(std::FILE* out) {
       "  --campaign-out <f>   write the campaign report as JSON\n"
       "vacd serving options (serve):\n"
       "  --store <f>          durable store file (JSONL, created if absent)\n"
-      "  --threads <n>        request worker threads (default 4)\n"
-      "  --queue <n>          max in-flight requests before shedding BUSY\n"
-      "                       (default 64)\n"
-      "  --deadline-ms <n>    per-request socket deadline (default 5000)\n"
+      "  --threads <n>        worker threads for pushes, quarantines and\n"
+      "                       full pulls (default 4)\n"
       "  --checkpoint-every <n>  checkpoint the store every n accepted\n"
       "                       vaccines (and on shutdown), so a restart\n"
       "                       replays only the delta since the checkpoint\n"
-      "  --sndbuf <bytes>     per-connection output buffer cap; a client\n"
-      "                       that stops reading past this is evicted\n"
-      "                       (default 131072, 0 = kernel default)\n"
       "  --dedup-window <n>   push replies remembered for idempotent\n"
       "                       retries (default 128, 0 disables)\n"
       "  --no-exclusiveness   skip the benign-conflict quarantine scan\n"
-      "  --tcp <host:port>    also serve the event-driven TCP tier\n"
-      "                       (persistent connections, pipelined JSON or\n"
-      "                       binary frames; port 0 = ephemeral, printed\n"
-      "                       on the readiness line). Loopback only\n"
-      "                       unless the network is trusted: no auth yet\n"
-      "  --max-connections <n>  concurrent TCP connections before new\n"
+      "  --tcp <host:port>    also listen on TCP (port 0 = ephemeral,\n"
+      "                       printed on the readiness line). Loopback\n"
+      "                       only unless the network is trusted: no\n"
+      "                       auth yet\n"
+      "  flow control, per connection on both listeners:\n"
+      "  --max-connections <n>  concurrent connections before new\n"
       "                       connects shed BUSY (default 4096)\n"
-      "  --rate-rps <r>       per-connection sustained requests/second\n"
-      "                       before BUSY (default 0 = unlimited)\n"
+      "  --rate-rps <r>       sustained requests/second before BUSY\n"
+      "                       (default 0 = unlimited)\n"
       "  --rate-burst <n>     token-bucket burst size (default 64)\n"
-      "  --idle-timeout-ms <n>  close TCP connections idle this long\n"
+      "  --idle-timeout-ms <n>  close connections idle this long, a\n"
+      "                       client stalled mid-request included\n"
       "                       (default 60000, 0 disables)\n"
       "vacd client options (push/query/pull/sync/quarantine; --socket\n"
       "also accepts a TCP endpoint spec 'tcp:host:port' or 'tcp:port'):\n"
@@ -948,24 +945,25 @@ int CmdServe(int argc, char** argv) {
   if (WantsHelp(argc, argv)) {
     std::printf(
         "usage: autovac serve --socket <s> [--store <f>] [--threads <n>]\n"
-        "                     [--queue <n>] [--deadline-ms <n>]\n"
-        "                     [--checkpoint-every <n>] [--sndbuf <bytes>]\n"
+        "                     [--checkpoint-every <n>]\n"
         "                     [--dedup-window <n>] [--no-exclusiveness]\n"
         "                     [--tcp <host:port>] [--max-connections <n>]\n"
         "                     [--rate-rps <r>] [--rate-burst <n>]\n"
         "                     [--idle-timeout-ms <n>]\n"
         "Runs vacd, the vaccine store + distribution server, until SIGINT\n"
-        "or SIGTERM (both drain: in-flight requests finish and the store\n"
-        "is fsync'd before exit). With --store the feed is durable: pushes\n"
-        "append to a fsync'd JSONL journal that survives crashes and\n"
-        "restarts; --checkpoint-every bounds restart recovery to the\n"
-        "delta since the last checkpoint. Vaccines whose identifier or\n"
-        "pattern collides with the benign corpus are quarantined (stored,\n"
-        "never served) unless --no-exclusiveness is given.\n"
-        "--tcp adds the event-driven TCP tier: persistent connections,\n"
-        "pipelined JSON or binary frames, per-connection flow control\n"
-        "(token bucket, bounded write buffer, idle sweep). Port 0 picks\n"
-        "an ephemeral port, printed in the readiness line. No\n"
+        "or SIGTERM (both drain: every request already received is\n"
+        "answered and the store is fsync'd before exit). With --store\n"
+        "the feed is durable: pushes append to a fsync'd JSONL journal\n"
+        "that survives crashes and restarts; --checkpoint-every bounds\n"
+        "restart recovery to the delta since the last checkpoint.\n"
+        "Vaccines whose identifier or pattern collides with the benign\n"
+        "corpus are quarantined (stored, never served) unless\n"
+        "--no-exclusiveness is given.\n"
+        "One event loop serves the socket and, with --tcp, a TCP port:\n"
+        "persistent connections, pipelined JSON or binary frames, and the\n"
+        "same per-connection flow control on both (connection cap, token\n"
+        "bucket, bounded write buffer, idle sweep). Port 0 picks an\n"
+        "ephemeral port, printed in the readiness line. No\n"
         "authentication yet: bind loopback (the default host) unless the\n"
         "network is trusted.\n");
     return 0;
@@ -991,24 +989,9 @@ int CmdServe(int argc, char** argv) {
         return 2;
       }
       options.threads = static_cast<size_t>(threads);
-    } else if (std::strcmp(arg, "--queue") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long queue = std::strtoll(value, nullptr, 0);
-      if (queue <= 0) {
-        std::fprintf(stderr, "error: --queue requires at least 1\n");
-        return 2;
-      }
-      options.max_pending = static_cast<size_t>(queue);
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.deadline_ms = std::strtoull(value, nullptr, 0);
     } else if (std::strcmp(arg, "--checkpoint-every") == 0) {
       if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
       options.checkpoint_every =
-          static_cast<size_t>(std::strtoull(value, nullptr, 0));
-    } else if (std::strcmp(arg, "--sndbuf") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.sndbuf_bytes =
           static_cast<size_t>(std::strtoull(value, nullptr, 0));
     } else if (std::strcmp(arg, "--dedup-window") == 0) {
       if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
@@ -1124,12 +1107,18 @@ int CmdServe(int argc, char** argv) {
   return 0;
 }
 
-// Parses --socket/--deadline-ms, collecting positionals. Returns -1 to
-// continue, or an exit code.
+// A command's own value flag: `name <value>` stores the value.
+struct ExtraFlag {
+  const char* name;
+  const char** value;
+};
+
+// Parses the client flags (--socket, --deadline-ms, --retries,
+// --retry-budget-ms, --retry-seed, --binary) and the command's `extras`,
+// collecting positionals. Returns -1 to continue, or an exit code.
 int ParseClientFlags(int argc, char** argv, ClientFlags* flags,
                      std::vector<std::string>* positional,
-                     const char* extra_flag = nullptr,
-                     const char** extra_value = nullptr) {
+                     std::initializer_list<ExtraFlag> extras = {}) {
   for (int i = 0; i < argc; ++i) {
     const char* arg = argv[i];
     const char* value = nullptr;
@@ -1155,11 +1144,14 @@ int ParseClientFlags(int argc, char** argv, ClientFlags* flags,
       flags->retry.seed = std::strtoull(value, nullptr, 0);
     } else if (std::strcmp(arg, "--binary") == 0) {
       flags->binary = true;
-    } else if (extra_flag != nullptr && std::strcmp(arg, extra_flag) == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      *extra_value = value;
     } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
+      const auto extra =
+          std::find_if(extras.begin(), extras.end(), [arg](const ExtraFlag& f) {
+            return std::strcmp(arg, f.name) == 0;
+          });
+      if (extra == extras.end()) return UnknownOption(arg);
+      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
+      *extra->value = value;
     } else {
       positional->push_back(arg);
     }
@@ -1236,7 +1228,7 @@ int CmdQuery(int argc, char** argv) {
   std::vector<std::string> positional;
   const char* resource_name = nullptr;
   const int parsed = ParseClientFlags(argc, argv, &flags, &positional,
-                                      "--resource", &resource_name);
+                                      {{"--resource", &resource_name}});
   if (parsed >= 0) return parsed;
   if (resource_name == nullptr || positional.size() != 1) {
     std::fprintf(stderr,
@@ -1282,50 +1274,20 @@ int CmdPull(int argc, char** argv) {
   }
   ClientFlags flags;
   std::vector<std::string> positional;
-  uint64_t since = 0;
-  std::string out_path;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--socket") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.socket_path = value;
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.deadline_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long attempts = std::strtoll(value, nullptr, 0);
-      if (attempts <= 0) {
-        std::fprintf(stderr, "error: --retries requires at least 1\n");
-        return 2;
-      }
-      flags.retry.max_attempts = static_cast<uint32_t>(attempts);
-    } else if (std::strcmp(arg, "--retry-budget-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.retry.max_total_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retry-seed") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.retry.seed = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--since") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      since = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--out") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      out_path = value;
-    } else if (std::strcmp(arg, "--binary") == 0) {
-      flags.binary = true;
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg);
-      return Usage();
-    }
-  }
-  if (flags.socket_path.empty()) {
-    std::fprintf(stderr, "error: pull requires --socket\n");
+  const char* since_text = nullptr;
+  const char* out_text = nullptr;
+  const int parsed =
+      ParseClientFlags(argc, argv, &flags, &positional,
+                       {{"--since", &since_text}, {"--out", &out_text}});
+  if (parsed >= 0) return parsed;
+  if (!positional.empty()) {
+    std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                 positional[0].c_str());
     return Usage();
   }
+  const uint64_t since =
+      since_text == nullptr ? 0 : std::strtoull(since_text, nullptr, 0);
+  const std::string out_path = out_text == nullptr ? "" : out_text;
   net::VacdClient client(flags.socket_path, flags.deadline_ms, flags.retry);
   client.set_binary(flags.binary);
   const net::Request request = net::PullRequest{since};
@@ -1392,50 +1354,21 @@ int CmdSync(int argc, char** argv) {
     return 0;
   }
   ClientFlags flags;
-  uint64_t page_limit = 0;
-  std::string out_path;
-  for (int i = 0; i < argc; ++i) {
-    const char* arg = argv[i];
-    const char* value = nullptr;
-    if (std::strcmp(arg, "--socket") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.socket_path = value;
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.deadline_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retries") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long attempts = std::strtoll(value, nullptr, 0);
-      if (attempts <= 0) {
-        std::fprintf(stderr, "error: --retries requires at least 1\n");
-        return 2;
-      }
-      flags.retry.max_attempts = static_cast<uint32_t>(attempts);
-    } else if (std::strcmp(arg, "--retry-budget-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.retry.max_total_ms = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--retry-seed") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      flags.retry.seed = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--binary") == 0) {
-      flags.binary = true;
-    } else if (std::strcmp(arg, "--page") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      page_limit = std::strtoull(value, nullptr, 0);
-    } else if (std::strcmp(arg, "--out") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      out_path = value;
-    } else if (std::strncmp(arg, "--", 2) == 0) {
-      return UnknownOption(arg);
-    } else {
-      std::fprintf(stderr, "error: unexpected argument '%s'\n", arg);
-      return Usage();
-    }
-  }
-  if (flags.socket_path.empty()) {
-    std::fprintf(stderr, "error: sync requires --socket\n");
+  std::vector<std::string> positional;
+  const char* page_text = nullptr;
+  const char* out_text = nullptr;
+  const int parsed =
+      ParseClientFlags(argc, argv, &flags, &positional,
+                       {{"--page", &page_text}, {"--out", &out_text}});
+  if (parsed >= 0) return parsed;
+  if (!positional.empty()) {
+    std::fprintf(stderr, "error: unexpected argument '%s'\n",
+                 positional[0].c_str());
     return Usage();
   }
+  const uint64_t page_limit =
+      page_text == nullptr ? 0 : std::strtoull(page_text, nullptr, 0);
+  const std::string out_path = out_text == nullptr ? "" : out_text;
   net::VacdClient client(flags.socket_path, flags.deadline_ms, flags.retry);
   client.set_binary(flags.binary);
   net::FeedMirror mirror;
@@ -1476,7 +1409,7 @@ int CmdQuarantine(int argc, char** argv) {
   std::vector<std::string> positional;
   const char* reason = nullptr;
   const int parsed = ParseClientFlags(argc, argv, &flags, &positional,
-                                      "--reason", &reason);
+                                      {{"--reason", &reason}});
   if (parsed >= 0) return parsed;
   if (positional.size() != 1) {
     std::fprintf(stderr, "error: quarantine needs exactly one digest\n");
@@ -1696,7 +1629,6 @@ int CmdCoordinate(int argc, char** argv) {
         "usage: autovac coordinate --socket <s> <sample.asm>...\n"
         "                          [--journal <f>] [--resume]\n"
         "                          [--lease-ms <n>] [--threads <n>]\n"
-        "                          [--queue <n>] [--deadline-ms <n>]\n"
         "                          [--store <f>] [--campaign-out <f>]\n"
         "                          [--linger-ms <n>] [pipeline flags]\n"
         "Shards the samples across remote detonation workers under\n"
@@ -1708,7 +1640,9 @@ int CmdCoordinate(int argc, char** argv) {
         "coordinator with only the unacknowledged delta lost; the final\n"
         "report is byte-identical to a fault-free run for any failure\n"
         "schedule. Exit code 3 means interrupted with the journal\n"
-        "intact.\n");
+        "intact. The socket is served by the same event loop as vacd,\n"
+        "with its default flow control; --threads sizes the pool that\n"
+        "answers claims and uploads.\n");
     return 0;
   }
   FleetPipelineFlags pipeline_flags;
@@ -1747,17 +1681,6 @@ int CmdCoordinate(int argc, char** argv) {
         return 2;
       }
       options.threads = static_cast<size_t>(threads);
-    } else if (std::strcmp(arg, "--queue") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long queue = std::strtoll(value, nullptr, 0);
-      if (queue <= 0) {
-        std::fprintf(stderr, "error: --queue requires at least 1\n");
-        return 2;
-      }
-      options.max_pending = static_cast<size_t>(queue);
-    } else if (std::strcmp(arg, "--deadline-ms") == 0) {
-      if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.deadline_ms = std::strtoull(value, nullptr, 0);
     } else if (std::strcmp(arg, "--store") == 0) {
       if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
       options.store_path = value;
