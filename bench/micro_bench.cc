@@ -80,6 +80,8 @@ trace::ApiTrace SyntheticTrace(size_t n, uint32_t pc_offset) {
   return trace;
 }
 
+// The range runs to 16,384 calls (201M cells): alignment is exact at
+// every size, so the large end must stay measured too.
 void BM_AlignmentScaling(benchmark::State& state) {
   const auto n = static_cast<size_t>(state.range(0));
   auto natural = SyntheticTrace(n, 0);
@@ -90,7 +92,35 @@ void BM_AlignmentScaling(benchmark::State& state) {
   }
   state.SetComplexityN(static_cast<int64_t>(n));
 }
-BENCHMARK(BM_AlignmentScaling)->Range(64, 1024)->Complexity();
+BENCHMARK(BM_AlignmentScaling)
+    ->RangeMultiplier(4)
+    ->Range(64, 16384)
+    ->Complexity();
+
+// The shape Phase-II produces: the mutated run repeats the natural
+// prefix up to the mutated call (half the trace here), then diverges
+// into a different suffix that shares only some of its calls.
+void BM_AlignmentPrefixThenDivergent(benchmark::State& state) {
+  const auto n = static_cast<size_t>(state.range(0));
+  auto natural = SyntheticTrace(n, 0);
+  trace::ApiTrace mutated;
+  mutated.calls.assign(natural.calls.begin(), natural.calls.begin() + n / 2);
+  const trace::ApiTrace divergent = SyntheticTrace(n / 2, 2);  // other sites
+  for (size_t i = 0; i < divergent.calls.size(); ++i) {
+    mutated.calls.push_back(i % 4 == 0 ? natural.calls[n / 2 + i]
+                                       : divergent.calls[i]);
+    mutated.calls.back().sequence = static_cast<uint32_t>(n / 2 + i);
+  }
+  for (auto _ : state) {
+    auto alignment = analysis::AlignTraces(natural, mutated);
+    benchmark::DoNotOptimize(alignment.matches.size());
+  }
+  state.SetComplexityN(static_cast<int64_t>(n));
+}
+BENCHMARK(BM_AlignmentPrefixThenDivergent)
+    ->RangeMultiplier(4)
+    ->Range(64, 16384)
+    ->Complexity();
 
 // Ablation: alignment without the caller-PC in the context triple.
 void BM_AlignmentNoCallerPc(benchmark::State& state) {

@@ -6,6 +6,20 @@
 // We align with a longest-common-subsequence over the context triples,
 // which subsumes the paper's linear anchor search and stays stable when
 // the mutation changes an early branch.
+//
+// Contract of AlignTraces, for traces of n natural and m mutated calls:
+//   - Result. Let L(i, j) be the LCS length of natural[i..) and
+//     mutated[j..). The alignment walks from (0, 0): when the two heads
+//     align (CallsAligned) they are matched; otherwise the natural head
+//     goes to Δn iff L(i+1, j) >= L(i, j+1), else the mutated head goes to
+//     Δm. Ties therefore drop the natural call first. Every pair of
+//     traces, of any size, gets exactly this alignment; there is no size
+//     threshold and no approximate fallback.
+//   - Time. The shared prefix is matched in O(p) compares; the remaining
+//     n' x m' suffixes cost O(n' * m' / 64) word operations (bit-parallel
+//     LCS, 64 cells per word) plus O(n + m) hashing.
+//   - Memory. O(n + m) words plus about 2 * sqrt(n') * m' / 64 words of
+//     LCS checkpoints: a 117k x 117k-call pair needs about 10 MB.
 #pragma once
 
 #include <cstdint>

@@ -110,16 +110,49 @@ std::string FaultFreeBaseline(const std::vector<vm::Program>& wave,
 
 // Forks a worker agent process; chaos options (kill_after_claims,
 // kill_mid_upload) detonate inside the child, never the test runner.
-pid_t ForkWorker(const std::vector<vm::Program>& wave,
-                 const fleet::WorkerOptions& options) {
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    vaccine::VaccinePipeline pipeline(nullptr, FastOptions());
-    const auto stats = fleet::RunWorker(pipeline, wave, options);
-    _exit(stats.ok() ? 0 : 1);
+// Fork every worker before the coordinator starts its threads: TSan
+// kills a child that starts threads after a multi-threaded fork, and
+// under ASan a child can inherit an allocator lock a serving thread
+// held. The child waits on a pipe until Release(); destroying an
+// unreleased worker lets it exit without running.
+class HeldWorker {
+ public:
+  HeldWorker(const std::vector<vm::Program>& wave,
+             const fleet::WorkerOptions& options) {
+    int go[2];
+    if (::pipe(go) != 0) return;
+    pid_ = ::fork();
+    if (pid_ == 0) {
+      ::close(go[1]);
+      char byte = 0;
+      if (::read(go[0], &byte, 1) != 1) _exit(2);
+      vaccine::VaccinePipeline pipeline(nullptr, FastOptions());
+      const auto stats = fleet::RunWorker(pipeline, wave, options);
+      _exit(stats.ok() ? 0 : 1);
+    }
+    ::close(go[0]);
+    go_ = go[1];
   }
-  return pid;
-}
+  HeldWorker(const HeldWorker&) = delete;
+  HeldWorker& operator=(const HeldWorker&) = delete;
+  ~HeldWorker() {
+    if (go_ >= 0) ::close(go_);
+  }
+
+  // Lets the worker run and returns its pid.
+  pid_t Release() {
+    if (go_ >= 0) {
+      (void)!::write(go_, "g", 1);
+      ::close(go_);
+      go_ = -1;
+    }
+    return pid_;
+  }
+
+ private:
+  pid_t pid_ = -1;
+  int go_ = -1;
+};
 
 int WaitFor(pid_t pid) {
   int status = 0;
@@ -432,11 +465,13 @@ TEST(FleetChaos, FaultFreeFleetMatchesLocalCampaign) {
   fleet::CoordinatorOptions options;
   options.socket_path = sock.path();
   options.journal_path = journal.path();
+  HeldWorker held1(wave, BaseWorker(sock.path(), "w1"));
+  HeldWorker held2(wave, BaseWorker(sock.path(), "w2"));
   fleet::FleetCoordinator coordinator(wave, FastOptions(), options);
   ASSERT_TRUE(coordinator.Start().ok());
 
-  const pid_t w1 = ForkWorker(wave, BaseWorker(sock.path(), "w1"));
-  const pid_t w2 = ForkWorker(wave, BaseWorker(sock.path(), "w2"));
+  const pid_t w1 = held1.Release();
+  const pid_t w2 = held2.Release();
   ASSERT_TRUE(coordinator.WaitUntilDone(60'000).ok());
   EXPECT_EQ(WaitFor(w1), 0);
   EXPECT_EQ(WaitFor(w2), 0);
@@ -465,18 +500,20 @@ TEST(FleetChaos, WorkerKilledMidSampleIsReassigned) {
   fleet::CoordinatorOptions options;
   options.socket_path = sock.path();
   options.lease_ms = 300;  // short, so reassignment is quick
+  fleet::WorkerOptions doomed = BaseWorker(sock.path(), "doomed");
+  doomed.kill_after_claims = 1;
+  HeldWorker held_doomed(wave, doomed);
+  HeldWorker held_survivor(wave, BaseWorker(sock.path(), "w2"));
   fleet::FleetCoordinator coordinator(wave, FastOptions(), options);
   ASSERT_TRUE(coordinator.Start().ok());
 
   // The doomed worker claims a sample and dies holding the lease.
-  fleet::WorkerOptions doomed = BaseWorker(sock.path(), "doomed");
-  doomed.kill_after_claims = 1;
-  const pid_t killed = ForkWorker(wave, doomed);
+  const pid_t killed = held_doomed.Release();
   const int status = WaitFor(killed);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
   // The survivor inherits the orphaned sample after lease expiry.
-  const pid_t survivor = ForkWorker(wave, BaseWorker(sock.path(), "w2"));
+  const pid_t survivor = held_survivor.Release();
   ASSERT_TRUE(coordinator.WaitUntilDone(60'000).ok());
   EXPECT_EQ(WaitFor(survivor), 0);
 
@@ -495,18 +532,20 @@ TEST(FleetChaos, WorkerKilledMidUploadLosesNothing) {
   fleet::CoordinatorOptions options;
   options.socket_path = sock.path();
   options.lease_ms = 300;
-  fleet::FleetCoordinator coordinator(wave, FastOptions(), options);
-  ASSERT_TRUE(coordinator.Start().ok());
-
   // Dies after its first complete frame is on the wire: the coordinator
   // may or may not have applied it — either way the campaign converges.
   fleet::WorkerOptions doomed = BaseWorker(sock.path(), "doomed");
   doomed.kill_mid_upload = true;
-  const pid_t killed = ForkWorker(wave, doomed);
+  HeldWorker held_doomed(wave, doomed);
+  HeldWorker held_survivor(wave, BaseWorker(sock.path(), "w2"));
+  fleet::FleetCoordinator coordinator(wave, FastOptions(), options);
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  const pid_t killed = held_doomed.Release();
   const int status = WaitFor(killed);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
 
-  const pid_t survivor = ForkWorker(wave, BaseWorker(sock.path(), "w2"));
+  const pid_t survivor = held_survivor.Release();
   ASSERT_TRUE(coordinator.WaitUntilDone(60'000).ok());
   EXPECT_EQ(WaitFor(survivor), 0);
 
@@ -542,7 +581,7 @@ TEST(FleetChaos, CoordinatorKilledMidAssignmentResumesByteIdentical) {
   fleet::WorkerOptions worker = BaseWorker(sock.path(), "w1");
   worker.retry.max_total_ms = 1500;
   worker.max_idle_ms = 5000;
-  const pid_t first = ForkWorker(wave, worker);
+  const pid_t first = HeldWorker(wave, worker).Release();
   const int status = WaitFor(doomed);
   ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL);
   (void)WaitFor(first);  // outcome depends on where the kill caught it
@@ -554,11 +593,12 @@ TEST(FleetChaos, CoordinatorKilledMidAssignmentResumesByteIdentical) {
   options.socket_path = sock.path();
   options.journal_path = journal.path();
   options.resume = true;
+  HeldWorker held_second(wave, BaseWorker(sock.path(), "w2"));
   fleet::FleetCoordinator coordinator(wave, FastOptions(), options);
   ASSERT_TRUE(coordinator.Start().ok());
   EXPECT_GE(coordinator.Stats().resumed_max_lease, 2u);
 
-  const pid_t second = ForkWorker(wave, BaseWorker(sock.path(), "w2"));
+  const pid_t second = held_second.Release();
   ASSERT_TRUE(coordinator.WaitUntilDone(60'000).ok());
   EXPECT_EQ(WaitFor(second), 0);
 

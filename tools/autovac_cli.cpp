@@ -722,6 +722,26 @@ int CmdCampaign(int argc, char** argv) {
               campaign.total_vaccines, campaign.total_demoted,
               campaign.total_faults_injected, campaign.samples_degraded,
               campaign.samples_failed);
+  // "Why no vaccine?": where the campaign's mutation targets were dropped,
+  // summed over the same per-sample counters `analyze` prints.
+  size_t targets = 0;
+  size_t not_exclusive = 0;
+  size_t no_impact = 0;
+  size_t non_deterministic = 0;
+  size_t faulted = 0;
+  size_t vaccines = 0;
+  for (const vaccine::SampleReport& report : campaign.reports) {
+    targets += report.targets_considered;
+    not_exclusive += report.filtered_not_exclusive;
+    no_impact += report.filtered_no_impact;
+    non_deterministic += report.filtered_non_deterministic;
+    faulted += report.targets_faulted;
+    vaccines += report.vaccines.size();
+  }
+  std::printf("target totals: %zu targets, %zu non-exclusive, %zu no-impact, "
+              "%zu non-deterministic, %zu faulted, %zu vaccines\n",
+              targets, not_exclusive, no_impact, non_deterministic, faulted,
+              vaccines);
 
   // Phase costs come from the per-report rollups (the supervisor's own
   // tracer sees nothing when samples ran in forked workers or were
@@ -862,12 +882,21 @@ int CmdCorpus(int argc, char** argv) {
       out_dir = value;
     } else if (std::strcmp(arg, "--seed") == 0) {
       if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      options.seed = std::strtoull(value, nullptr, 0);
+      if (!ParseUint64(value, &options.seed)) {
+        std::fprintf(stderr,
+                     "error: --seed requires a non-negative decimal integer, "
+                     "got '%s'\n",
+                     value);
+        return 2;
+      }
     } else if (std::strcmp(arg, "--per-class") == 0) {
       if ((value = OptionValue(argc, argv, &i)) == nullptr) return 2;
-      const long long per_class = std::strtoll(value, nullptr, 0);
-      if (per_class <= 0) {
-        std::fprintf(stderr, "error: --per-class requires at least 1\n");
+      uint64_t per_class = 0;
+      if (!ParseUint64(value, &per_class) || per_class == 0) {
+        std::fprintf(stderr,
+                     "error: --per-class requires a decimal integer of at "
+                     "least 1, got '%s'\n",
+                     value);
         return 2;
       }
       options.per_class = static_cast<size_t>(per_class);
