@@ -14,9 +14,10 @@ HostProfile HostProfile::Randomized(autovac::Rng& rng) {
       "alice", "bob", "carol", "dave", "erin", "frank", "grace", "heidi"};
   profile.user_name = rng.Pick(kUsers);
   profile.volume_serial = static_cast<uint32_t>(rng.NextU64());
-  profile.ip_address =
-      StrFormat("192.168.%u.%u", static_cast<unsigned>(rng.NextBelow(254) + 1),
-                static_cast<unsigned>(rng.NextBelow(253) + 2));
+  // One draw per statement: argument evaluation order is unspecified.
+  const auto host_octet = static_cast<unsigned>(rng.NextBelow(253) + 2);
+  const auto subnet_octet = static_cast<unsigned>(rng.NextBelow(254) + 1);
+  profile.ip_address = StrFormat("192.168.%u.%u", subnet_octet, host_octet);
   return profile;
 }
 

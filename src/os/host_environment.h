@@ -24,7 +24,9 @@ class HostEnvironment {
 
   // A field machine with a randomized identity.
   static HostEnvironment RandomizedMachine(autovac::Rng& rng) {
-    HostEnvironment env(HostProfile::Randomized(rng), rng.NextU64());
+    // Two draws, two statements: argument evaluation order is unspecified.
+    const uint64_t entropy_seed = rng.NextU64();
+    HostEnvironment env(HostProfile::Randomized(rng), entropy_seed);
     PopulateStandardMachine(env.ns_);
     return env;
   }

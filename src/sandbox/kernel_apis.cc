@@ -14,11 +14,6 @@ std::string BaseName(const std::string& path) {
   return slash == std::string::npos ? path : path.substr(slash + 1);
 }
 
-bool EndsWithSys(const std::string& path) {
-  const std::string lower = ToLower(path);
-  return lower.size() >= 4 && lower.substr(lower.size() - 4) == ".sys";
-}
-
 }  // namespace
 
 void Kernel::Execute(ApiId id, const ApiSpec& spec, vm::Cpu& cpu,

@@ -26,7 +26,7 @@ std::string TextTable::Render() const {
 
   std::string out = render_row(header_);
   std::string sep;
-  for (size_t w : widths) sep += "|" + std::string(w + 2, '-');
+  for (size_t w : widths) sep.append("|").append(w + 2, '-');
   out += sep + "|\n";
   for (const auto& row : rows_) out += render_row(row);
   return out;

@@ -65,22 +65,34 @@ void Tracer::Clear() {
 }
 
 std::vector<PhaseTotal> Tracer::PhaseTotals(size_t first_span) const {
-  std::map<std::string, PhaseTotal> totals;
   const uint64_t now_ticks = Ticks();
   const uint64_t now_wall = WallNs();
+  std::vector<PhaseTotal> costs;
   for (size_t i = first_span; i < spans_.size(); ++i) {
     const SpanRecord& span = spans_[i];
-    PhaseTotal& total = totals[SpanName(span)];
-    total.name = SpanName(span);
-    ++total.spans;
-    total.ticks +=
-        (span.closed ? span.end_ticks : now_ticks) - span.start_ticks;
-    total.wall_ns +=
-        (span.closed ? span.end_wall_ns : now_wall) - span.start_wall_ns;
+    costs.push_back(
+        {std::string(SpanName(span)), 1,
+         (span.closed ? span.end_ticks : now_ticks) - span.start_ticks,
+         (span.closed ? span.end_wall_ns : now_wall) - span.start_wall_ns});
+  }
+  return MergePhaseTotals({&costs});
+}
+
+std::vector<PhaseTotal> MergePhaseTotals(
+    const std::vector<const std::vector<PhaseTotal>*>& sources) {
+  std::map<std::string, PhaseTotal> merged;
+  for (const std::vector<PhaseTotal>* source : sources) {
+    for (const PhaseTotal& cost : *source) {
+      PhaseTotal& total = merged[cost.name];
+      total.name = cost.name;
+      total.spans += cost.spans;
+      total.ticks += cost.ticks;
+      total.wall_ns += cost.wall_ns;
+    }
   }
   std::vector<PhaseTotal> out;
-  out.reserve(totals.size());
-  for (auto& [name, total] : totals) out.push_back(std::move(total));
+  out.reserve(merged.size());
+  for (auto& [name, total] : merged) out.push_back(std::move(total));
   return out;
 }
 

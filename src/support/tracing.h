@@ -52,6 +52,12 @@ struct PhaseTotal {
   uint64_t wall_ns = 0;  // informational
 };
 
+// Sums rollups by phase name, sorted by name: the one fold behind
+// Tracer::PhaseTotals, campaign totals over per-sample rollups, and a
+// campaign's totals plus the supervisor's own clinic spans.
+[[nodiscard]] std::vector<PhaseTotal> MergePhaseTotals(
+    const std::vector<const std::vector<PhaseTotal>*>& sources);
+
 class Tracer {
  public:
   using TickClock = std::function<uint64_t()>;

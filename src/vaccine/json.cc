@@ -18,7 +18,7 @@ constexpr size_t kNumIdentifierClasses =
     static_cast<size_t>(analysis::IdentifierClass::kNonDeterministic) + 1;
 
 std::string Quoted(std::string_view text) {
-  return "\"" + JsonEscape(text) + "\"";
+  return '"' + JsonEscape(text) + '"';
 }
 
 // Shortest double literal that parses back to the same bits.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <future>
-#include <map>
 #include <memory>
 #include <set>
 
@@ -460,20 +459,12 @@ CampaignReport BuildCampaignReport(std::vector<SampleReport> reports) {
   // per-report rollups are the only source: worker-produced reports carry
   // their costs across the process boundary, where the supervisor's own
   // tracer saw nothing.
-  std::map<std::string, PhaseTotal> totals;
+  std::vector<const std::vector<PhaseTotal>*> rollups;
+  rollups.reserve(campaign.reports.size());
   for (const SampleReport& report : campaign.reports) {
-    for (const PhaseTotal& cost : report.phase_costs) {
-      PhaseTotal& total = totals[cost.name];
-      total.name = cost.name;
-      total.spans += cost.spans;
-      total.ticks += cost.ticks;
-      total.wall_ns += cost.wall_ns;
-    }
+    rollups.push_back(&report.phase_costs);
   }
-  campaign.phase_costs.reserve(totals.size());
-  for (auto& [name, total] : totals) {
-    campaign.phase_costs.push_back(std::move(total));
-  }
+  campaign.phase_costs = MergePhaseTotals(rollups);
   return campaign;
 }
 

@@ -149,7 +149,7 @@ TEST(Journal, TornTailIsDroppedAndMidCorruptionRefused) {
   // Corruption before the tail is a hard error, never a silent skip.
   // Prepend a byte to the first sample record so that line cannot parse.
   std::string corrupted = intact;
-  corrupted.insert(intact.find('\n') + 1, "x");
+  corrupted.insert(intact.find('\n') + 1, 1, 'x');
   WriteFile(file.path(), corrupted);
   EXPECT_FALSE(
       campaign::CampaignJournal::Load(file.path(), wave.size()).ok());

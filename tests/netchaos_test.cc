@@ -159,8 +159,9 @@ TEST(WireShim, FrameSurvivesOneByteAtATimeDelivery) {
   int fds[2];
   ASSERT_EQ(socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
   const std::string payload =
-      RequestToJson(Request{PushRequest{{MakeVaccine(
-          os::ResourceType::kMutex, "fragmented-frame-mutex")}}});
+      RequestToJson(Request{PushRequest{
+          {MakeVaccine(os::ResourceType::kMutex, "fragmented-frame-mutex")},
+          /*request_id=*/""}});
   const std::string frame = EncodeNetFrame(payload);
 
   // Deliver the frame one byte per write, which fragments both the

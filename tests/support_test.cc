@@ -57,7 +57,7 @@ TEST(Result, HoldsError) {
 
 TEST(Result, ValueOnErrorThrows) {
   Result<int> result(Status::Internal("boom"));
-  EXPECT_THROW(result.value(), std::logic_error);
+  EXPECT_THROW(static_cast<void>(result.value()), std::logic_error);
 }
 
 TEST(Result, ConstructingFromOkStatusThrows) {
@@ -251,7 +251,9 @@ TEST_P(PatternRoundTrip, LiteralSelfMatch) {
   if (!id.empty()) {
     std::string mutated = id;
     mutated[0] = mutated[0] == 'z' ? 'y' : 'z';
-    if (mutated != id) EXPECT_FALSE(pattern.Matches(mutated));
+    if (mutated != id) {
+      EXPECT_FALSE(pattern.Matches(mutated));
+    }
   }
 }
 
@@ -383,7 +385,7 @@ TEST(Interner, DedupsAndLooksUp) {
 
 TEST(Interner, LookupOutOfRangeThrows) {
   StringInterner interner;
-  EXPECT_THROW(interner.Lookup(5), std::logic_error);
+  EXPECT_THROW(static_cast<void>(interner.Lookup(5)), std::logic_error);
 }
 
 // ---- TextTable ---------------------------------------------------------------

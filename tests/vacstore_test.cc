@@ -272,7 +272,7 @@ TEST(VaccineStore, MidFileCorruptionRefusesToLoad) {
             .ok());
   }
   std::string corrupted = ReadFile(file.path());
-  corrupted.insert(corrupted.find('\n') + 1, "x");
+  corrupted.insert(corrupted.find('\n') + 1, 1, 'x');
   WriteFile(file.path(), corrupted);
   EXPECT_FALSE(VaccineStore::Open(file.path()).ok());
 }
