@@ -117,11 +117,50 @@ FastPathResult BenchFastPath() {
   return result;
 }
 
+// Snapshot replay on vs off over the real corpus samples: short
+// prefixes and few mutable triples per sample, the shape the crafted
+// samples above do not have. Only Analyze is timed; the order alternates
+// per sample so neither side always runs second on a warm cache.
+struct CorpusReplayResult {
+  double on_ms = 0;
+  double off_ms = 0;
+  double ratio = 0;  // off / on: above 1 means replay pays
+};
+
+CorpusReplayResult BenchCorpusReplay(
+    const analysis::ExclusivenessIndex& index,
+    const std::vector<malware::CorpusSample>& corpus) {
+  // Phase ticks differ between the two paths; see BenchFastPath.
+  GlobalTracer().set_enabled(false);
+  vaccine::PipelineOptions off_options;
+  off_options.snapshot_replay = false;
+  const vaccine::VaccinePipeline on(&index);
+  const vaccine::VaccinePipeline off(&index, off_options);
+
+  CorpusReplayResult result;
+  for (size_t i = 0; i < corpus.size(); ++i) {
+    std::string reports[2];  // [0] replay on, [1] replay off
+    for (size_t k = 0; k < 2; ++k) {
+      const bool replay = (i + k) % 2 == 0;
+      const auto start = Clock::now();
+      vaccine::SampleReport report =
+          (replay ? on : off).Analyze(corpus[i].program);
+      (replay ? result.on_ms : result.off_ms) += MillisSince(start);
+      reports[replay ? 0 : 1] = vaccine::SampleReportToJson(report);
+    }
+    AUTOVAC_CHECK_MSG(reports[0] == reports[1],
+                      "snapshot replay changed a corpus report");
+  }
+  result.ratio = result.on_ms > 0 ? result.off_ms / result.on_ms : 0;
+  return result;
+}
+
 // Machine-readable sibling of the printed report: per-phase span counts,
 // instruction ticks (deterministic) and wall times (informational), plus
 // the full metrics snapshot. Path override: AUTOVAC_BENCH_OUT.
 void WriteBenchJson(size_t samples, const std::vector<PhaseTotal>& phases,
-                    const FastPathResult& fastpath) {
+                    const FastPathResult& fastpath,
+                    const CorpusReplayResult& corpus_replay) {
   const char* env_path = std::getenv("AUTOVAC_BENCH_OUT");
   const std::string path =
       env_path != nullptr ? env_path : "BENCH_pipeline.json";
@@ -147,6 +186,10 @@ void WriteBenchJson(size_t samples, const std::vector<PhaseTotal>& phases,
       << ",\"fast_ms\":" << StrFormat("%.3f", fastpath.fast_ms)
       << ",\"speedup\":" << StrFormat("%.2f", fastpath.speedup)
       << ",\"mutation_runs\":" << fastpath.mutation_runs << "}";
+  out << ",\"corpus_replay\":{\"on_ms\":"
+      << StrFormat("%.3f", corpus_replay.on_ms)
+      << ",\"off_ms\":" << StrFormat("%.3f", corpus_replay.off_ms)
+      << ",\"ratio\":" << StrFormat("%.2f", corpus_replay.ratio) << "}";
   out << ",\"metrics\":[";
   const std::string jsonl = ExportMetricsJsonl(GlobalMetrics().Snapshot());
   bool first = true;
@@ -271,6 +314,16 @@ int main() {
   std::printf("speedup:                      %.2fx (reports byte-identical)"
               "\n", fastpath.speedup);
 
-  WriteBenchJson(corpus->size(), phases, fastpath);
+  const CorpusReplayResult corpus_replay =
+      BenchCorpusReplay(index, corpus.value());
+  std::printf("\n== snapshot replay on the real corpus (%zu samples) ==\n",
+              corpus->size());
+  std::printf("replay off:                   %.2f ms\n",
+              corpus_replay.off_ms);
+  std::printf("replay on:                    %.2f ms\n", corpus_replay.on_ms);
+  std::printf("off/on:                       %.2fx (reports byte-identical)"
+              "\n", corpus_replay.ratio);
+
+  WriteBenchJson(corpus->size(), phases, fastpath, corpus_replay);
   return 0;
 }

@@ -38,8 +38,7 @@ ByteOrigin FromDataOrigin(trace::DataOrigin origin) {
 class OriginTracker {
  public:
   explicit OriginTracker(bool track_control_dependence = false)
-      : track_control_(track_control_dependence),
-        mem_(vm::kMemSize, ByteOrigin::kStatic) {}
+      : track_control_(track_control_dependence) {}
 
   void Step(const trace::InstructionRecord& record,
             const trace::ApiTrace& api_trace) {
@@ -140,14 +139,14 @@ class OriginTracker {
 
   [[nodiscard]] ByteOrigin RangeOrigin(uint32_t addr, uint32_t size) const {
     ByteOrigin origin = ByteOrigin::kStatic;
-    for (uint32_t i = 0; i < size && addr + i < mem_.size(); ++i) {
-      origin = Max(origin, mem_[addr + i]);
+    for (uint32_t i = 0; i < size && addr + i < vm::kMemSize; ++i) {
+      origin = Max(origin, mem_.Get(addr + i));
     }
     return origin;
   }
 
   [[nodiscard]] ByteOrigin ByteAt(uint32_t addr) const {
-    return addr < mem_.size() ? mem_[addr] : ByteOrigin::kStatic;
+    return addr < vm::kMemSize ? mem_.Get(addr) : ByteOrigin::kStatic;
   }
 
  private:
@@ -199,11 +198,11 @@ class OriginTracker {
                              : regs_[static_cast<size_t>(reg)];
   }
   void SetByte(uint32_t addr, ByteOrigin origin) {
-    if (addr < mem_.size()) mem_[addr] = origin;
+    if (addr < vm::kMemSize) mem_.Set(addr, origin);
   }
   void SetRange(uint32_t addr, uint32_t size, ByteOrigin origin) {
-    for (uint32_t i = 0; i < size && addr + i < mem_.size(); ++i) {
-      mem_[addr + i] = origin;
+    for (uint32_t i = 0; i < size && addr + i < vm::kMemSize; ++i) {
+      mem_.Set(addr + i, origin);
     }
   }
 
@@ -213,7 +212,8 @@ class OriginTracker {
   uint32_t region_start_ = 0;
   uint32_t region_end_ = 0;
   std::array<ByteOrigin, vm::kNumRegs> regs_{};
-  std::vector<ByteOrigin> mem_;
+  // kStatic is ByteOrigin{}, so untouched pages stay unallocated.
+  vm::ShadowMemory<ByteOrigin> mem_;
 };
 
 // ---------------------------------------------------------------------

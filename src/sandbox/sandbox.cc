@@ -203,6 +203,9 @@ RunResult RunProgramImpl(const vm::Program& program, os::HostEnvironment& env,
     // never mutates it, so the run is otherwise a plain RunProgram.
     kernel.set_pre_call_probe([&](const trace::ApiCallRecord& record,
                                   vm::Cpu& probe_cpu) {
+      if (capture.eligible && !capture.eligible(record.resource_identifier)) {
+        return;
+      }
       if (!recorder->ShouldCapture(record.api_name, record.caller_pc,
                                    record.resource_identifier)) {
         return;

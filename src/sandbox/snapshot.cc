@@ -5,11 +5,12 @@ namespace autovac::sandbox {
 size_t MachineSnapshot::ApproxBytes() const {
   size_t bytes = sizeof(MachineSnapshot);
   bytes += api_name.size() + identifier.size();
-  bytes += vm::kMemSize;  // the memory image dominates
+  bytes += memory.owned_pages() * sizeof(vm::MemoryPage);
   bytes += kernel.trace.calls.size() * sizeof(trace::ApiCallRecord);
   bytes += kernel.shadow_stack.size() * sizeof(uint32_t);
   if (taint.has_value()) {
-    bytes += taint->map.mem.size() * sizeof(taint::LabelSetId);
+    bytes += taint->map.mem.owned_pages() * vm::kPageBytes *
+             sizeof(taint::LabelSetId);
     bytes += taint->predicates.size() * sizeof(taint::PredicateEvent);
   }
   return bytes;

@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -41,9 +42,12 @@
 namespace autovac::sandbox {
 
 // Everything needed to resume execution at a resource-API call site as
-// if the program had run there from scratch. Move-only (the memory image
-// alone is 1 MiB). The fault-injection cursor references the capture
-// run's FaultPlan, which must outlive the snapshot.
+// if the program had run there from scratch. Move-only. Guest memory and
+// the taint shadow are copy-on-write pages shared with the capture run
+// (vm/cow_pages.h), so they cost a page table plus the pages the run
+// dirties afterwards; the host environment and the kernel state (trace
+// prefix, shadow stack) are copied. The fault-injection cursor references
+// the capture run's FaultPlan, which must outlive the snapshot.
 struct MachineSnapshot {
   // HostEnvironment has no default state to construct from; a snapshot
   // starts life as a copy of the capture run's environment.
@@ -64,7 +68,7 @@ struct MachineSnapshot {
   // run had no fault plan installed.
   std::unique_ptr<FaultInjector> injector;
   // Taint-engine state, captured only on request (CaptureOptions): the
-  // shadow memory costs 4x the machine image. `labels` is the label
+  // predicate log and the label store are copied. `labels` is the label
   // store copy the state's set ids index into.
   std::shared_ptr<taint::LabelStore> labels;
   std::optional<taint::TaintEngineState> taint;
@@ -72,6 +76,9 @@ struct MachineSnapshot {
   // must fall back to a full re-run (see file comment).
   uint64_t capture_budget = 0;
 
+  // Approximate size: the non-default memory pages it references
+  // (shared copy-on-write, not copied), taint pages when captured, the
+  // trace prefix and the shadow stack.
   [[nodiscard]] size_t ApproxBytes() const;
 };
 
@@ -110,16 +117,20 @@ class SnapshotRecorder {
 };
 
 struct CaptureOptions {
-  // Also capture taint-engine state (expensive: a shadow-memory copy per
-  // snapshot). Off for the pipeline fast path, whose resumed runs are
+  // Also capture taint-engine state (a label-store and predicate-log copy
+  // per snapshot). Off for the pipeline fast path, whose resumed runs are
   // taint-free like the legacy impact re-runs they replace.
   bool capture_taint = false;
+  // Captures only triples whose identifier passes this test; empty
+  // captures every triple. The pipeline passes its Phase-II eligibility
+  // test, so no snapshot is taken for a triple it will never mutate.
+  std::function<bool(std::string_view identifier)> eligible;
 };
 
 // RunProgram, additionally capturing machine snapshots into `recorder`
-// at the first occurrence of every distinct resource-API call triple.
-// The probe copies state but never mutates it: the run's result and the
-// machine it leaves behind are identical to a plain RunProgram.
+// at the first occurrence of every distinct (eligible) resource-API call
+// triple. The probe copies state but never mutates it: the run's result
+// and the machine it leaves behind are identical to a plain RunProgram.
 [[nodiscard]] RunResult RunProgramWithCapture(
     const vm::Program& program, os::HostEnvironment& env,
     const RunOptions& options, const std::vector<ApiHook>& hooks,

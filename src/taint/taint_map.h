@@ -1,9 +1,10 @@
 // Shadow state: one LabelSetId per register, per memory byte, and for the
-// flags register.
+// flags register. The memory shadow is paged copy-on-write like guest
+// memory (vm::ShadowMemory): untouched pages read kEmptySet without being
+// allocated, and capturing the state copies a page table.
 #pragma once
 
 #include <array>
-#include <vector>
 
 #include "taint/labels.h"
 #include "vm/isa.h"
@@ -17,13 +18,12 @@ namespace autovac::taint {
 struct TaintMapState {
   std::array<LabelSetId, vm::kNumRegs> regs{};
   LabelSetId flags = kEmptySet;
-  std::vector<LabelSetId> mem;
+  vm::ShadowMemory<LabelSetId> mem;
 };
 
 class TaintMap {
  public:
-  explicit TaintMap(LabelStore& store)
-      : store_(store), mem_(vm::kMemSize, kEmptySet) {}
+  explicit TaintMap(LabelStore& store) : store_(store) {}
 
   [[nodiscard]] TaintMapState CaptureState() const {
     return {regs_, flags_, mem_};
@@ -51,7 +51,7 @@ class TaintMap {
   void SetRange(uint32_t addr, uint32_t size, LabelSetId label);
 
   [[nodiscard]] LabelSetId Byte(uint32_t addr) const {
-    return addr < mem_.size() ? mem_[addr] : kEmptySet;
+    return addr < vm::kMemSize ? mem_.Get(addr) : kEmptySet;
   }
 
   [[nodiscard]] LabelStore& store() { return store_; }
@@ -60,7 +60,7 @@ class TaintMap {
   LabelStore& store_;
   std::array<LabelSetId, vm::kNumRegs> regs_{};
   LabelSetId flags_ = kEmptySet;
-  std::vector<LabelSetId> mem_;
+  vm::ShadowMemory<LabelSetId> mem_;
 };
 
 }  // namespace autovac::taint

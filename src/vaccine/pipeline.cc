@@ -208,6 +208,14 @@ Result<Vaccine> VaccinePipeline::BuildVaccine(
   return vaccine;
 }
 
+bool VaccinePipeline::StaticallyEligible(std::string_view identifier) const {
+  if (options_.run_exclusiveness && index_ != nullptr &&
+      !index_->IsExclusive(identifier)) {
+    return false;
+  }
+  return !identifier.empty();
+}
+
 void VaccinePipeline::AnalyzePhase2(
     const vm::Program& sample, const sandbox::RunResult& phase1,
     SampleReport& report, const sandbox::SnapshotRecorder* snapshots) const {
@@ -216,17 +224,6 @@ void VaccinePipeline::AnalyzePhase2(
   report.targets_considered = targets.size();
 
   const os::HostEnvironment baseline = BaselineMachine();
-
-  // The exclusiveness/empty-identifier filter depends only on static
-  // state, so the fan-out can evaluate it up front; the dynamic skips
-  // (vaccine_keys dedup, the impact-run cap) stay in the merge loop.
-  auto statically_eligible = [&](const analysis::MutationTarget& target) {
-    if (options_.run_exclusiveness && index_ != nullptr &&
-        !index_->IsExclusive(target.identifier)) {
-      return false;
-    }
-    return !target.identifier.empty();
-  };
 
   // Speculative fan-out: with N > 1 worker threads, every statically
   // eligible target's impact analysis starts immediately on the pool.
@@ -245,7 +242,7 @@ void VaccinePipeline::AnalyzePhase2(
   if (options_.mutation_threads > 1 && !targets.empty()) {
     pool = std::make_unique<ThreadPool>(options_.mutation_threads);
     for (size_t i = 0; i < targets.size(); ++i) {
-      if (!statically_eligible(targets[i])) continue;
+      if (!StaticallyEligible(targets[i].identifier)) continue;
       futures[i] = promises[i].get_future();
       ImpactAttempt* slot = &attempts[i];
       std::promise<void>* done = &promises[i];
@@ -276,7 +273,7 @@ void VaccinePipeline::AnalyzePhase2(
     // Step-I: exclusiveness (cheap — runs before the impact-run cap).
     {
       ScopedSpan span(tracer, "exclusiveness");
-      if (!statically_eligible(target)) {
+      if (!StaticallyEligible(target.identifier)) {
         ++report.filtered_not_exclusive;
         continue;
       }
@@ -375,10 +372,18 @@ SampleReport VaccinePipeline::Analyze(const vm::Program& sample) const {
     phase1_options.record_instructions = true;  // for determinism analysis
     phase1_options.limits = options_.limits;
     phase1_options.fault_plan = options_.fault_plan;
-    phase1 = fast_path
-                 ? sandbox::RunProgramWithCapture(sample, phase1_env,
-                                                  phase1_options, {}, snapshots)
-                 : sandbox::RunProgram(sample, phase1_env, phase1_options);
+    if (fast_path) {
+      // Snapshot only the triples Phase-II may mutate.
+      sandbox::CaptureOptions capture;
+      capture.eligible = [this](std::string_view identifier) {
+        return StaticallyEligible(identifier);
+      };
+      phase1 = sandbox::RunProgramWithCapture(sample, phase1_env,
+                                              phase1_options, {}, snapshots,
+                                              capture);
+    } else {
+      phase1 = sandbox::RunProgram(sample, phase1_env, phase1_options);
+    }
     if (snapshots.overflowed()) SnapshotCapOverflowCounter()->Increment();
   } catch (const std::exception& e) {
     report.phase1_status =

@@ -7,6 +7,7 @@
 
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "analysis/determinism.h"
@@ -47,8 +48,10 @@ struct PipelineOptions {
   // resumes cannot be proven equivalent); reports are byte-identical
   // either way. `--no-snapshot-replay` flips this off.
   bool snapshot_replay = true;
-  // Most snapshots kept per sample (each holds a full memory image);
-  // targets past the cap fall back to full re-runs.
+  // Most snapshots kept per sample (each shares the run's memory pages
+  // copy-on-write and copies the host environment and kernel state);
+  // only triples Phase-II may mutate are captured, and targets past the
+  // cap fall back to full re-runs.
   size_t snapshot_cap = 32;
   // Worker threads for the Phase-II mutation fan-out. 1 (the default)
   // runs mutations inline on the calling thread; N > 1 speculatively
@@ -160,6 +163,13 @@ class VaccinePipeline {
   }
 
  private:
+  // Whether a target with this identifier can reach the impact analysis:
+  // non-empty and, when the filter is on, exclusive. Static, so it both
+  // selects the phase-1 captures and gates the fan-out and the merge
+  // loop; the dynamic skips (vaccine_keys dedup, the impact-run cap)
+  // stay in the merge loop.
+  [[nodiscard]] bool StaticallyEligible(std::string_view identifier) const;
+
   // Phase-II body; exceptions escape to Analyze's isolation layer.
   // `snapshots` non-null enables the mutation fast path (resume targets
   // from their captured call sites instead of full re-runs).

@@ -1,19 +1,28 @@
 #include "vm/memory.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace autovac::vm {
 
 MemFault Memory::Read8(uint32_t addr, uint32_t* out) const {
   if (!InBounds(addr, 1)) return MemFault::kOutOfBounds;
-  *out = bytes_[addr];
+  *out = ByteAt(addr);
   return MemFault::kNone;
 }
 
 MemFault Memory::Read32(uint32_t addr, uint32_t* out) const {
   if (!InBounds(addr, 4)) return MemFault::kOutOfBounds;
   uint32_t value = 0;
-  std::memcpy(&value, bytes_.data() + addr, 4);  // little-endian host
+  const uint32_t offset = addr % kPageBytes;
+  if (offset <= kPageBytes - 4) {
+    std::memcpy(&value, pages_.page(addr / kPageBytes).bytes.data() + offset,
+                4);  // little-endian host
+  } else {
+    for (uint32_t i = 0; i < 4; ++i) {
+      value |= static_cast<uint32_t>(ByteAt(addr + i)) << (8 * i);
+    }
+  }
   *out = value;
   return MemFault::kNone;
 }
@@ -21,7 +30,7 @@ MemFault Memory::Read32(uint32_t addr, uint32_t* out) const {
 MemFault Memory::Write8(uint32_t addr, uint32_t value) {
   if (!InBounds(addr, 1)) return MemFault::kOutOfBounds;
   if (IsReadOnly(addr)) return MemFault::kWriteToReadOnly;
-  bytes_[addr] = static_cast<uint8_t>(value);
+  SetByte(addr, static_cast<uint8_t>(value));
   NoteWrite(addr, 1);
   return MemFault::kNone;
 }
@@ -31,7 +40,15 @@ MemFault Memory::Write32(uint32_t addr, uint32_t value) {
   if (IsReadOnly(addr) || IsReadOnly(addr + 3)) {
     return MemFault::kWriteToReadOnly;
   }
-  std::memcpy(bytes_.data() + addr, &value, 4);
+  const uint32_t offset = addr % kPageBytes;
+  if (offset <= kPageBytes - 4) {
+    std::memcpy(pages_.mutable_page(addr / kPageBytes).bytes.data() + offset,
+                &value, 4);
+  } else {
+    for (uint32_t i = 0; i < 4; ++i) {
+      SetByte(addr + i, static_cast<uint8_t>(value >> (8 * i)));
+    }
+  }
   NoteWrite(addr, 4);
   return MemFault::kNone;
 }
@@ -39,7 +56,21 @@ MemFault Memory::Write32(uint32_t addr, uint32_t value) {
 void Memory::LoaderWrite(uint32_t addr, std::string_view bytes) {
   AUTOVAC_CHECK_MSG(InBounds(addr, static_cast<uint32_t>(bytes.size())),
                     "loader write out of bounds");
-  std::memcpy(bytes_.data() + addr, bytes.data(), bytes.size());
+  while (!bytes.empty()) {
+    const uint32_t page = addr / kPageBytes;
+    const uint32_t offset = addr % kPageBytes;
+    const std::string_view chunk =
+        bytes.substr(0, std::min<size_t>(bytes.size(), kPageBytes - offset));
+    // Zeros (a `buffer` directive) on an untouched page change nothing.
+    const bool zeros = std::all_of(chunk.begin(), chunk.end(),
+                                   [](char c) { return c == '\0'; });
+    if (!zeros || !pages_.is_default(page)) {
+      std::memcpy(pages_.mutable_page(page).bytes.data() + offset,
+                  chunk.data(), chunk.size());
+    }
+    addr += static_cast<uint32_t>(chunk.size());
+    bytes.remove_prefix(chunk.size());
+  }
 }
 
 std::string Memory::ReadCString(uint32_t addr, size_t max_len) const {
@@ -72,9 +103,13 @@ uint32_t Memory::WriteCString(uint32_t addr, std::string_view text,
 }
 
 std::string_view Memory::RawView(uint32_t addr, uint32_t size) const {
-  AUTOVAC_CHECK_MSG(InBounds(addr, size), "RawView out of bounds");
-  return std::string_view(reinterpret_cast<const char*>(bytes_.data()) + addr,
-                          size);
+  AUTOVAC_CHECK_MSG(InBounds(addr, size) && size <= kPageBytes &&
+                        addr % kPageBytes <= kPageBytes - size,
+                    "RawView out of bounds or across a page");
+  const MemoryPage& page = pages_.page(addr / kPageBytes);
+  return std::string_view(
+      reinterpret_cast<const char*>(page.bytes.data()) + addr % kPageBytes,
+      size);
 }
 
 }  // namespace autovac::vm

@@ -1,4 +1,6 @@
-// Flat 1 MiB address space with segment permissions.
+// The 1 MiB guest address space with segment permissions, stored as
+// copy-on-write pages (cow_pages.h): a fresh machine, a snapshot of it
+// and a resume from that snapshot each cost O(pages touched).
 //
 // Layout (constants below):
 //   .rdata  — read-only constants (static identifier strings live here;
@@ -10,12 +12,13 @@
 //   stack   — grows down from kStackTop
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "support/status.h"
+#include "vm/cow_pages.h"
 
 namespace autovac::vm {
 
@@ -29,12 +32,18 @@ inline constexpr uint32_t kHeapEnd = 0xE0000;
 inline constexpr uint32_t kStackBase = 0xE0000;  // lowest valid stack byte
 inline constexpr uint32_t kStackTop = 0xFFFF0;   // initial ESP
 
+// Copy-on-write granularity of guest memory and of every per-byte shadow
+// of it (taint labels, determinism origins).
+inline constexpr uint32_t kPageBytes = 4096;
+inline constexpr uint32_t kNumPages = kMemSize / kPageBytes;
+
 // Write-then-execute tracking granularity. Guest stores bump a per-page
 // write generation; the CPU records the generation it last decoded per
 // page, so executing a page whose bytes changed since the last decode is
 // detectable in O(1) — the "concatic" unpacking detector.
 inline constexpr uint32_t kCodePageSize = 256;
 inline constexpr uint32_t kNumCodePages = kMemSize / kCodePageSize;
+inline constexpr uint32_t kCodePagesPerPage = kPageBytes / kCodePageSize;
 
 // Result of a memory access attempt.
 enum class MemFault {
@@ -43,10 +52,16 @@ enum class MemFault {
   kWriteToReadOnly,
 };
 
+// One copy-on-write page of guest memory. The write/exec generations of
+// its code pages live inside it, so they travel with every copy.
+struct MemoryPage {
+  std::array<uint8_t, kPageBytes> bytes{};
+  std::array<uint32_t, kCodePagesPerPage> write_gen{};
+  std::array<uint32_t, kCodePagesPerPage> exec_gen{};
+};
+
 class Memory {
  public:
-  Memory() : bytes_(kMemSize, 0) {}
-
   // Direct byte accessors with bounds/permission checking. `enforce_ro`
   // is dropped during program loading.
   [[nodiscard]] MemFault Read8(uint32_t addr, uint32_t* out) const;
@@ -67,7 +82,9 @@ class Memory {
   uint32_t WriteCString(uint32_t addr, std::string_view text,
                         uint32_t capacity = 0);
 
-  // Raw span access for trace/digest purposes (no permission checks).
+  // Raw view of [addr, addr+size), which must lie inside one page (the
+  // CPU reads whole 256-byte code pages). No permission checks; valid
+  // until the next write to this Memory.
   [[nodiscard]] std::string_view RawView(uint32_t addr, uint32_t size) const;
 
   [[nodiscard]] static bool InBounds(uint32_t addr, uint32_t size) {
@@ -88,26 +105,63 @@ class Memory {
     return addr / kCodePageSize;
   }
   [[nodiscard]] uint32_t page_write_gen(uint32_t page) const {
-    return write_gen_[page];
+    return pages_.page(page / kCodePagesPerPage)
+        .write_gen[page % kCodePagesPerPage];
   }
   [[nodiscard]] uint32_t page_exec_gen(uint32_t page) const {
-    return exec_gen_[page];
+    return pages_.page(page / kCodePagesPerPage)
+        .exec_gen[page % kCodePagesPerPage];
   }
   void set_page_exec_gen(uint32_t page, uint32_t gen) {
-    exec_gen_[page] = gen;
+    pages_.mutable_page(page / kCodePagesPerPage)
+        .exec_gen[page % kCodePagesPerPage] = gen;
   }
+
+  // Pages loaded or written since construction, shared with copies or
+  // not: what a copy references beyond the shared zero page.
+  [[nodiscard]] size_t owned_pages() const { return pages_.owned_pages(); }
 
  private:
   void NoteWrite(uint32_t addr, uint32_t size) {
     const uint32_t first = PageOf(addr);
     const uint32_t last = PageOf(addr + size - 1);
-    ++write_gen_[first];
-    if (last != first) ++write_gen_[last];
+    BumpWriteGen(first);
+    if (last != first) BumpWriteGen(last);
+  }
+  void BumpWriteGen(uint32_t page) {
+    ++pages_.mutable_page(page / kCodePagesPerPage)
+          .write_gen[page % kCodePagesPerPage];
+  }
+  [[nodiscard]] uint8_t ByteAt(uint32_t addr) const {
+    return pages_.page(addr / kPageBytes).bytes[addr % kPageBytes];
+  }
+  void SetByte(uint32_t addr, uint8_t value) {
+    pages_.mutable_page(addr / kPageBytes).bytes[addr % kPageBytes] = value;
   }
 
-  std::vector<uint8_t> bytes_;
-  std::vector<uint32_t> write_gen_ = std::vector<uint32_t>(kNumCodePages, 0);
-  std::vector<uint32_t> exec_gen_ = std::vector<uint32_t>(kNumCodePages, 0);
+  CowPages<MemoryPage, kNumPages> pages_;
+};
+
+// One `T` per guest byte, stored like Memory in copy-on-write pages that
+// all start as the shared T{} page: the taint shadow and the determinism
+// origin map. Writing T{} to an untouched page allocates nothing.
+template <typename T>
+class ShadowMemory {
+ public:
+  [[nodiscard]] T Get(uint32_t addr) const {
+    return pages_.page(addr / kPageBytes)[addr % kPageBytes];
+  }
+  void Set(uint32_t addr, T value) {
+    const uint32_t page = addr / kPageBytes;
+    if (value == T{} && pages_.is_default(page)) return;
+    pages_.mutable_page(page)[addr % kPageBytes] = value;
+  }
+
+  // Pages that hold a non-default element (or once did).
+  [[nodiscard]] size_t owned_pages() const { return pages_.owned_pages(); }
+
+ private:
+  CowPages<std::array<T, kPageBytes>, kNumPages> pages_;
 };
 
 }  // namespace autovac::vm

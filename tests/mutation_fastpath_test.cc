@@ -4,12 +4,18 @@
 // the legacy full-re-run pipeline.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
+#include "evasion/corpus.h"
+#include "malware/benign.h"
+#include "malware/corpus.h"
 #include "sandbox/sandbox.h"
 #include "support/metrics.h"
 #include "vaccine/json.h"
@@ -188,6 +194,92 @@ TEST(MutationFastPath, ResumesActuallyHappen) {
   // The fast path must actually ride snapshots, not silently fall back.
   EXPECT_GT(resumes->value(), resumes_before);
   EXPECT_EQ(fallbacks->value(), fallbacks_before);
+}
+
+// The exclusiveness filter selects which triples phase-1 captures, so the
+// equivalence must also hold against a real index: a seeded Table II
+// slice plus two samples per evasion class, analyzed against the
+// benign-corpus index.
+TEST(MutationFastPath, RealCorpusSliceWithIndexByteIdentical) {
+  analysis::ExclusivenessIndex index;
+  auto benign = malware::BuildBenignCorpus();
+  ASSERT_TRUE(benign.ok()) << benign.status().ToString();
+  for (const vm::Program& program : benign.value()) {
+    os::HostEnvironment env = os::HostEnvironment::StandardMachine();
+    sandbox::RunOptions options;
+    options.enable_taint = false;
+    index.IndexBenignTrace(program.name,
+                           sandbox::RunProgram(program, env, options)
+                               .api_trace);
+  }
+
+  std::vector<vm::Program> samples;
+  malware::CorpusOptions corpus_options;
+  corpus_options.seed = 2013;
+  corpus_options.total = 48;
+  auto corpus = malware::GenerateCorpus(corpus_options);
+  ASSERT_TRUE(corpus.ok()) << corpus.status().ToString();
+  for (malware::CorpusSample& sample : corpus.value()) {
+    samples.push_back(std::move(sample.program));
+  }
+  evasion::EvasiveCorpusOptions evasive_options;
+  evasive_options.per_class = 2;
+  auto evasive = evasion::GenerateEvasiveCorpus(evasive_options);
+  ASSERT_TRUE(evasive.ok()) << evasive.status().ToString();
+  for (evasion::EvasiveSample& sample : evasive.value()) {
+    samples.push_back(std::move(sample.program));
+  }
+
+  const vaccine::PipelineOptions fast;
+  vaccine::PipelineOptions threaded;
+  threaded.mutation_threads = 4;
+  const vaccine::VaccinePipeline legacy_pipeline(&index, LegacyOptions());
+  const vaccine::VaccinePipeline fast_pipeline(&index, fast);
+  const vaccine::VaccinePipeline threaded_pipeline(&index, threaded);
+
+  Counter* captures = GlobalMetrics().GetCounter("snapshot.captures");
+  Counter* fallbacks =
+      GlobalMetrics().GetCounter("snapshot.fallback_full_runs");
+  const uint64_t fallbacks_before = fallbacks->value();
+  size_t eligible_triples = 0;
+  size_t resource_triples = 0;
+  size_t vaccines = 0;
+  for (const vm::Program& sample : samples) {
+    SCOPED_TRACE(sample.name);
+    const uint64_t captures_before = captures->value();
+    const vaccine::SampleReport report = fast_pipeline.Analyze(sample);
+    const uint64_t captured = captures->value() - captures_before;
+    vaccines += report.vaccines.size();
+
+    // Every capture is of a triple Phase-II may mutate: exactly the
+    // distinct resource triples with an exclusive identifier.
+    std::set<std::tuple<std::string, uint32_t, std::string>> all;
+    std::set<std::tuple<std::string, uint32_t, std::string>> eligible;
+    for (const trace::ApiCallRecord& call : report.natural_trace.calls) {
+      if (!call.is_resource_api) continue;
+      const auto triple = std::make_tuple(call.api_name, call.caller_pc,
+                                          call.resource_identifier);
+      all.insert(triple);
+      if (index.IsExclusive(call.resource_identifier)) {
+        eligible.insert(triple);
+      }
+    }
+    EXPECT_EQ(captured, std::min(eligible.size(), fast.snapshot_cap));
+    eligible_triples += eligible.size();
+    resource_triples += all.size();
+
+    const std::string expected = vaccine::SampleReportToJson(report);
+    EXPECT_EQ(expected, vaccine::SampleReportToJson(
+                            legacy_pipeline.Analyze(sample)));
+    EXPECT_EQ(expected, vaccine::SampleReportToJson(
+                            threaded_pipeline.Analyze(sample)));
+  }
+  // Every eligible target found its snapshot.
+  EXPECT_EQ(fallbacks->value(), fallbacks_before);
+  // The slice exercises both sides of the filter and yields vaccines.
+  EXPECT_GT(eligible_triples, 0u);
+  EXPECT_LT(eligible_triples, resource_triples);
+  EXPECT_GT(vaccines, 0u);
 }
 
 TEST(MutationFastPath, MismatchedBudgetsDisableCapture) {

@@ -108,6 +108,59 @@ TEST(TaintMap, RangeUnionMergesDistinctLabels) {
   EXPECT_EQ(store.Sources(merged).size(), 2u);
 }
 
+TEST(TaintMap, UntouchedPagesReadEmpty) {
+  LabelStore store;
+  const TaintMap map(store);
+  for (uint32_t addr = 0; addr < vm::kMemSize; addr += vm::kPageBytes / 2) {
+    EXPECT_EQ(map.Byte(addr), kEmptySet);
+    EXPECT_EQ(map.RangeUnion(addr, 4), kEmptySet);
+  }
+  EXPECT_EQ(map.Byte(vm::kMemSize - 1), kEmptySet);
+  EXPECT_EQ(map.Byte(vm::kMemSize), kEmptySet);
+  EXPECT_EQ(map.CaptureState().mem.owned_pages(), 0u);
+}
+
+TEST(TaintMap, ClearingUntouchedPagesAllocatesNothing) {
+  LabelStore store;
+  TaintMap map(store);
+  // Pushes of constants clear stack taint on every run: on a page that
+  // never held a label, that must stay free.
+  map.SetRange(vm::kStackTop - 64, 64, kEmptySet);
+  map.SetRange(vm::kDataBase + vm::kPageBytes - 2, 4, kEmptySet);
+  EXPECT_EQ(map.CaptureState().mem.owned_pages(), 0u);
+
+  const LabelSetId label = store.AddSource(MakeSource(0));
+  map.SetRange(vm::kDataBase + vm::kPageBytes - 2, 4, label);
+  EXPECT_EQ(map.CaptureState().mem.owned_pages(), 2u);
+  EXPECT_EQ(map.RangeUnion(vm::kDataBase + vm::kPageBytes - 2, 4), label);
+}
+
+TEST(TaintMap, CaptureStateIsIsolatedFromLaterWrites) {
+  LabelStore store;
+  TaintMap map(store);
+  const LabelSetId a = store.AddSource(MakeSource(0));
+  const LabelSetId b = store.AddSource(MakeSource(1));
+  map.SetRange(vm::kDataBase, 4, a);
+  map.SetReg(Reg::kEax, a);
+  const TaintMapState state = map.CaptureState();
+
+  map.SetRange(vm::kDataBase, 2, b);
+  map.SetRange(vm::kHeapBase, 4, b);
+  map.SetReg(Reg::kEax, b);
+
+  TaintMap restored(store);
+  restored.RestoreState(state);
+  EXPECT_EQ(restored.Byte(vm::kDataBase), a);
+  EXPECT_EQ(restored.Byte(vm::kDataBase + 3), a);
+  EXPECT_EQ(restored.Byte(vm::kHeapBase), kEmptySet);
+  EXPECT_EQ(restored.Reg(Reg::kEax), a);
+  EXPECT_EQ(state.mem.owned_pages(), 1u);
+  // Writing the restored copy leaves the live map alone as well.
+  restored.SetRange(vm::kDataBase + 2, 2, kEmptySet);
+  EXPECT_EQ(map.Byte(vm::kDataBase + 2), a);
+  EXPECT_EQ(map.Byte(vm::kDataBase), b);
+}
+
 // ---- TaintEngine propagation rules ---------------------------------------------
 
 class EngineFixture : public ::testing::Test {

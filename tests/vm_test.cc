@@ -62,6 +62,110 @@ TEST(Memory, ReadCStringRespectsMaxLen) {
   EXPECT_EQ(memory.ReadCString(kDataBase, 3), "abc");
 }
 
+// ---- copy-on-write pages ---------------------------------------------
+
+TEST(Memory, DefaultReadsZeroEverywhere) {
+  const Memory memory;
+  for (uint32_t addr = 0; addr < kMemSize; ++addr) {
+    uint32_t byte = 1;
+    ASSERT_EQ(memory.Read8(addr, &byte), MemFault::kNone);
+    ASSERT_EQ(byte, 0u) << addr;
+  }
+  for (uint32_t page = 0; page < kNumCodePages; ++page) {
+    ASSERT_EQ(memory.page_write_gen(page), 0u);
+    ASSERT_EQ(memory.page_exec_gen(page), 0u);
+  }
+  EXPECT_EQ(memory.owned_pages(), 0u);
+}
+
+TEST(Memory, CopyIsIsolatedFromLaterWritesOnEitherSide) {
+  Memory original;
+  ASSERT_EQ(original.Write32(kDataBase, 0x11111111), MemFault::kNone);
+  Memory copy = original;
+  ASSERT_EQ(original.Write32(kDataBase, 0x22222222), MemFault::kNone);
+  ASSERT_EQ(copy.Write32(kDataBase + 4, 0x33333333), MemFault::kNone);
+  ASSERT_EQ(copy.Write8(kHeapBase, 0x44), MemFault::kNone);
+
+  uint32_t value = 0;
+  ASSERT_EQ(copy.Read32(kDataBase, &value), MemFault::kNone);
+  EXPECT_EQ(value, 0x11111111u);
+  ASSERT_EQ(original.Read32(kDataBase + 4, &value), MemFault::kNone);
+  EXPECT_EQ(value, 0u);
+  ASSERT_EQ(original.Read8(kHeapBase, &value), MemFault::kNone);
+  EXPECT_EQ(value, 0u);
+  ASSERT_EQ(original.Read32(kDataBase, &value), MemFault::kNone);
+  EXPECT_EQ(value, 0x22222222u);
+  // Write generations are per copy too.
+  EXPECT_EQ(original.page_write_gen(Memory::PageOf(kDataBase)), 2u);
+  EXPECT_EQ(copy.page_write_gen(Memory::PageOf(kDataBase)), 2u);
+  EXPECT_EQ(copy.page_write_gen(Memory::PageOf(kHeapBase)), 1u);
+  EXPECT_EQ(original.page_write_gen(Memory::PageOf(kHeapBase)), 0u);
+}
+
+TEST(Memory, WordsStraddlePageBoundariesOnSharedPages) {
+  const uint32_t boundary = kDataBase + kPageBytes;
+  Memory original;
+  ASSERT_EQ(original.Write32(boundary - 2, 0xA1B2C3D4), MemFault::kNone);
+  const Memory copy = original;
+  // The straddling write clones both pages out of the shared pair.
+  ASSERT_EQ(original.Write32(boundary - 1, 0x01020304), MemFault::kNone);
+
+  uint32_t value = 0;
+  ASSERT_EQ(copy.Read32(boundary - 2, &value), MemFault::kNone);
+  EXPECT_EQ(value, 0xA1B2C3D4u);
+  ASSERT_EQ(original.Read32(boundary - 1, &value), MemFault::kNone);
+  EXPECT_EQ(value, 0x01020304u);
+  ASSERT_EQ(original.Read32(boundary - 2, &value), MemFault::kNone);
+  EXPECT_EQ(value, 0x020304D4u);
+  uint32_t byte = 0;
+  ASSERT_EQ(copy.Read8(boundary + 2, &byte), MemFault::kNone);
+  EXPECT_EQ(byte, 0u);
+  ASSERT_EQ(original.Read8(boundary + 2, &byte), MemFault::kNone);
+  EXPECT_EQ(byte, 0x01u);
+  // Both code pages at the seam were dirtied once per straddling write.
+  EXPECT_EQ(original.page_write_gen(Memory::PageOf(boundary - 1)), 2u);
+  EXPECT_EQ(original.page_write_gen(Memory::PageOf(boundary)), 2u);
+  EXPECT_EQ(copy.page_write_gen(Memory::PageOf(boundary)), 1u);
+}
+
+TEST(Memory, LoaderWriteSpansPages) {
+  std::string blob(2 * kPageBytes + 10, '\0');
+  for (size_t i = 0; i < blob.size(); ++i) {
+    blob[i] = static_cast<char>('a' + i % 26);
+  }
+  const uint32_t base = kDataBase + kPageBytes - 5;
+  Memory memory;
+  memory.LoaderWrite(base, blob);
+  for (size_t i = 0; i < blob.size(); ++i) {
+    uint32_t byte = 0;
+    ASSERT_EQ(memory.Read8(base + static_cast<uint32_t>(i), &byte),
+              MemFault::kNone);
+    ASSERT_EQ(byte, static_cast<uint8_t>(blob[i])) << i;
+  }
+  EXPECT_EQ(memory.owned_pages(), 4u);
+  // The loaded image is the baseline: no write generation moved.
+  EXPECT_EQ(memory.page_write_gen(Memory::PageOf(base)), 0u);
+  // Zeros on untouched pages (a `buffer` directive) allocate nothing.
+  memory.LoaderWrite(kHeapBase, std::string(3 * kPageBytes, '\0'));
+  EXPECT_EQ(memory.owned_pages(), 4u);
+}
+
+TEST(Memory, RawViewReturnsOneCodePage) {
+  Memory memory;
+  const uint32_t code_page = kDataBase + 3 * kCodePageSize;
+  ASSERT_EQ(memory.Write8(code_page, 0x5A), MemFault::kNone);
+  ASSERT_EQ(memory.Write8(code_page + kCodePageSize - 1, 0xA5),
+            MemFault::kNone);
+  const std::string_view view = memory.RawView(code_page, kCodePageSize);
+  ASSERT_EQ(view.size(), kCodePageSize);
+  EXPECT_EQ(static_cast<uint8_t>(view.front()), 0x5A);
+  EXPECT_EQ(static_cast<uint8_t>(view.back()), 0xA5);
+  // The last code page of an untouched page views the shared zero page.
+  const std::string_view zeros =
+      memory.RawView(kHeapBase + kPageBytes - kCodePageSize, kCodePageSize);
+  EXPECT_EQ(zeros, std::string(kCodePageSize, '\0'));
+}
+
 // ---- assembler + cpu -------------------------------------------------
 
 Program MustAssemble(const std::string& source) {
@@ -703,6 +807,36 @@ TEST(Cpu, RewritingExecutedPageRearmsTheEventAndRedecodes) {
     EXPECT_EQ(cpu.reg(Reg::kEax), 8u);
     EXPECT_EQ(counter.events, 1);
   }
+}
+
+// The write/exec generations travel with a copy: a code page written in
+// a copy after it was taken re-arms the event for the copy's CPU only.
+TEST(Cpu, CodePageWrittenAfterCopyFiresAgainInTheCopy) {
+  Program program = MustAssemble(".text\n  hlt\n");
+  Memory memory;
+  program.LoadInto(memory);
+  PlaceEncoded(memory, kDataBase,
+               {{Op::kMovRI, Reg::kEax, Reg::kNone, 7},
+                {Op::kHlt, Reg::kNone, Reg::kNone, 0}},
+               /*guest=*/true);
+  program.entry = kDataBase;
+  auto run = [&](Memory& target, uint32_t expected_eax) {
+    Cpu cpu(program, target);
+    SmcCounter counter;
+    cpu.set_observer(&counter);
+    EXPECT_EQ(cpu.Run(100), StopReason::kHalted);
+    EXPECT_EQ(cpu.reg(Reg::kEax), expected_eax);
+    return counter.events;
+  };
+  EXPECT_EQ(run(memory, 7), 1);
+
+  // A copy of the executed machine is not dirty: no event in either.
+  Memory copy = memory;
+  EXPECT_EQ(run(copy, 7), 0);
+  PlaceEncoded(copy, kDataBase, {{Op::kMovRI, Reg::kEax, Reg::kNone, 8}},
+               /*guest=*/true);
+  EXPECT_EQ(run(copy, 8), 1);
+  EXPECT_EQ(run(memory, 7), 0);
 }
 
 TEST(Cpu, CrossPageWritesDirtyBothPages) {

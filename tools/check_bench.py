@@ -18,6 +18,9 @@ Gating policy:
     --min-speedup (default 3.0) gates it. The serving bench's match-index
     speedup over the linear scan is the same kind of ratio:
     --min-index-speedup (default 10.0) gates it.
+  * Snapshot replay on the real corpus (off/on wall ratio over the same
+    samples, same process) gates with --min-corpus-replay-ratio, read
+    from the current run only; a run without the section fails.
 
 Exit status: 0 clean, 1 on any regression, 2 on usage/IO errors.
 """
@@ -83,7 +86,7 @@ class Gate:
         print(f"  {label:<44} {baseline:>14} -> {current:>14} {verdict}")
 
 
-def compare_pipeline(base, cur, gate, min_speedup):
+def compare_pipeline(base, cur, gate, min_speedup, min_corpus_replay_ratio):
     gate.check_exact("samples", require(base, "samples", "baseline"),
                      require(cur, "samples", "current"))
     base_phases = {p["phase"]: p
@@ -117,6 +120,19 @@ def compare_pipeline(base, cur, gate, min_speedup):
           f"{float(fastpath.get('legacy_ms', 0)):>14.3f} info")
     print(f"  {'fastpath fast_ms':<44} "
           f"{float(fastpath.get('fast_ms', 0)):>14.3f} info")
+
+    if min_corpus_replay_ratio is None:
+        return
+    replay = require(cur, "corpus_replay", "current")
+    ratio = float(require(replay, "ratio", "current corpus_replay"))
+    verdict = "ok" if ratio >= min_corpus_replay_ratio else "REGRESSION"
+    if verdict != "ok":
+        gate.failures.append("corpus_replay.ratio")
+    print(f"  {'corpus replay off/on ratio':<44} "
+          f"{min_corpus_replay_ratio:>14.2f} <= {ratio:>11.2f}x {verdict}")
+    for key in ("on_ms", "off_ms"):
+        print(f"  {'corpus replay ' + key:<44} "
+              f"{float(replay.get(key, 0)):>14.3f} info")
 
 
 def compare_robustness(base, cur, gate, min_bdr):
@@ -381,6 +397,11 @@ def main():
                              "(default 0.15 = 15%%)")
     parser.add_argument("--min-speedup", type=float, default=3.0,
                         help="minimum fastpath speedup (pipeline bench)")
+    parser.add_argument("--min-corpus-replay-ratio", type=float,
+                        default=None,
+                        help="minimum off/on wall ratio of snapshot replay "
+                             "over the real corpus (pipeline bench); "
+                             "errors if the section is absent")
     parser.add_argument("--min-index-speedup", type=float, default=10.0,
                         help="minimum match-index speedup over the linear "
                              "scan (serving bench)")
@@ -418,7 +439,8 @@ def main():
     gate = Gate(args.max_regression, args.check_wall)
     print(f"== bench '{kind}': {args.baseline} vs {args.current} ==")
     if kind == "pipeline":
-        compare_pipeline(base, cur, gate, args.min_speedup)
+        compare_pipeline(base, cur, gate, args.min_speedup,
+                         args.min_corpus_replay_ratio)
     elif kind == "campaign":
         compare_campaign(base, cur, gate)
     elif kind == "serving":
