@@ -28,14 +28,18 @@ analysis::ExclusivenessIndex BuildBenignIndex() {
   return index;
 }
 
-CorpusAnalysis AnalyzeCorpus(const analysis::ExclusivenessIndex& index,
-                             size_t total) {
-  CorpusAnalysis out;
+std::vector<malware::CorpusSample> BuildCorpus(size_t total) {
   malware::CorpusOptions options;
   options.total = total;
   auto corpus = malware::GenerateCorpus(options);
   AUTOVAC_CHECK_MSG(corpus.ok(), "corpus failed to assemble");
-  out.corpus = std::move(corpus).value();
+  return std::move(corpus).value();
+}
+
+CorpusAnalysis AnalyzeCorpus(const analysis::ExclusivenessIndex& index,
+                             size_t total) {
+  CorpusAnalysis out;
+  out.corpus = BuildCorpus(total);
 
   vaccine::VaccinePipeline pipeline(&index);
   out.reports.reserve(out.corpus.size());

@@ -20,6 +20,10 @@ namespace autovac::bench {
 // Builds the exclusiveness index by tracing the benign corpus.
 [[nodiscard]] analysis::ExclusivenessIndex BuildBenignIndex();
 
+// The seeded Table II corpus (malware::CorpusOptions defaults) of `total`
+// samples.
+[[nodiscard]] std::vector<malware::CorpusSample> BuildCorpus(size_t total);
+
 struct CorpusAnalysis {
   std::vector<malware::CorpusSample> corpus;
   std::vector<vaccine::SampleReport> reports;  // index-aligned with corpus

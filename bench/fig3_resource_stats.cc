@@ -1,17 +1,22 @@
 // Regenerates Figure 3: statistics on malware's resource-sensitive
 // behaviours — share of tainted occurrences by resource type and basic
-// operation (create / read-open / write / delete).
+// operation (create / read-open / write / delete). Phase I alone decides
+// these counts, so each sample gets only the pipeline's phase-1 run,
+// whose API trace reports summarize but do not keep.
 #include <cstdio>
 
 #include "bench/common.h"
+#include "sandbox/sandbox.h"
 #include "support/table.h"
 
 using namespace autovac;
 
 int main() {
-  const size_t total = bench::CorpusSizeFromEnv();
-  auto index = bench::BuildBenignIndex();
-  auto analysis = bench::AnalyzeCorpus(index, total);
+  const std::vector<malware::CorpusSample> corpus =
+      bench::BuildCorpus(bench::CorpusSizeFromEnv());
+  // Phase-1 options and machine do not depend on the exclusiveness index.
+  const vaccine::VaccinePipeline pipeline(nullptr);
+  const sandbox::RunOptions phase1_options = pipeline.Phase1RunOptions();
 
   // counts[resource][operation-bucket]; kOpen and kRead merge into the
   // figure's "Read/Open" bucket.
@@ -19,8 +24,11 @@ int main() {
   size_t counts[os::kNumResourceTypes][kNumBuckets] = {};
   size_t tainted_total = 0;
 
-  for (const vaccine::SampleReport& report : analysis.reports) {
-    for (const trace::ApiCallRecord& call : report.natural_trace.calls) {
+  for (const malware::CorpusSample& sample : corpus) {
+    os::HostEnvironment env = pipeline.BaselineMachine();
+    const sandbox::RunResult phase1 =
+        sandbox::RunProgram(sample.program, env, phase1_options);
+    for (const trace::ApiCallRecord& call : phase1.api_trace.calls) {
       if (!call.is_resource_api || !call.taint_reached_predicate) continue;
       Bucket bucket;
       switch (call.operation) {
@@ -38,7 +46,7 @@ int main() {
 
   std::printf("== Figure 3: malware's resource-sensitive behaviours ==\n");
   std::printf("(%% of %zu tainted resource-API occurrences, corpus size "
-              "%zu)\n\n", tainted_total, analysis.corpus.size());
+              "%zu)\n\n", tainted_total, corpus.size());
   TextTable table({"Resource", "Create", "Read/Open", "Write", "Delete",
                    "All"});
   // Figure order: File, Mutex, Registry, Library, Process, Service, Windows.

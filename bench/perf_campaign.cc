@@ -3,8 +3,14 @@
 // same generated corpus. The contract being measured is "isolation and
 // parallelism are free of semantic cost": the multi-worker
 // CampaignReport must be byte-identical to the in-process one, and the
-// fsync'd write-ahead journal must cost little next to analysis. Corpus
-// size override: AUTOVAC_CORPUS_SIZE; worker count: AUTOVAC_BENCH_JOBS.
+// fsync'd write-ahead journal must cost little next to analysis. Each
+// mode also records the mean bytes per sample of a report's JSON and of
+// its journal, the bytes every forked worker ships and the supervisor
+// parses and fsyncs (tools/check_bench.py --max-report-kb gates both).
+// Corpus size override: AUTOVAC_CORPUS_SIZE; worker count:
+// AUTOVAC_BENCH_JOBS.
+#include <sys/stat.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -43,6 +49,8 @@ struct Row {
   double wall_ms = 0;
   std::string report_json;
   campaign::CampaignRunStats stats;
+  double report_bytes = 0;   // mean SampleReportToJson size per sample
+  double journal_bytes = 0;  // journal file size per sample; 0 without one
 };
 
 Row RunOnce(const std::string& name,
@@ -57,6 +65,16 @@ Row RunOnce(const std::string& name,
   AUTOVAC_CHECK(run.ok());
   row.report_json = vaccine::CampaignReportToJson(run->report);
   row.stats = run->stats;
+  const double n = static_cast<double>(std::max<size_t>(samples.size(), 1));
+  for (const vaccine::SampleReport& report : run->report.reports) {
+    row.report_bytes +=
+        static_cast<double>(vaccine::SampleReportToJson(report).size()) / n;
+  }
+  struct stat journal;
+  if (!options.journal_path.empty() &&
+      ::stat(options.journal_path.c_str(), &journal) == 0) {
+    row.journal_bytes = static_cast<double>(journal.st_size) / n;
+  }
   return row;
 }
 
@@ -80,7 +98,11 @@ void WriteBenchJson(size_t samples, size_t jobs,
     out << "{\"mode\":\"" << JsonEscape(row.name) << "\",\"wall_ms\":"
         << StrFormat("%.3f", row.wall_ms)
         << ",\"samples_analyzed\":" << row.stats.samples_analyzed
-        << ",\"workers_crashed\":" << row.stats.workers_crashed << "}";
+        << ",\"workers_crashed\":" << row.stats.workers_crashed
+        << ",\"report_bytes_per_sample\":"
+        << StrFormat("%.1f", row.report_bytes)
+        << ",\"journal_bytes_per_sample\":"
+        << StrFormat("%.1f", row.journal_bytes) << "}";
   }
   out << "]}\n";
   std::printf("bench telemetry written to %s\n", path.c_str());
@@ -136,9 +158,12 @@ int main() {
   const double base_ms = rows[0].wall_ms;
   std::printf("== durable campaign throughput (%zu samples) ==\n", total);
   for (const Row& row : rows) {
-    std::printf("  %-26s %9.1f ms  %5.2fx  (%zu analyzed, %zu crashes)\n",
-                row.name.c_str(), row.wall_ms, base_ms / row.wall_ms,
-                row.stats.samples_analyzed, row.stats.workers_crashed);
+    std::printf(
+        "  %-26s %9.1f ms  %5.2fx  (%zu analyzed, %zu crashes, "
+        "%.2f KB report, %.2f KB journal per sample)\n",
+        row.name.c_str(), row.wall_ms, base_ms / row.wall_ms,
+        row.stats.samples_analyzed, row.stats.workers_crashed,
+        row.report_bytes / 1e3, row.journal_bytes / 1e3);
   }
   std::printf("campaign reports byte-identical across all %zu modes\n",
               rows.size());

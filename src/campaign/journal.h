@@ -28,7 +28,9 @@
 
 namespace autovac::campaign {
 
-inline constexpr uint64_t kJournalVersion = 1;
+// Version 2: sample reports carry a natural-trace summary (digest and
+// call count) in place of the trace text. Load refuses any other version.
+inline constexpr uint64_t kJournalVersion = 2;
 
 // Test-only write shim: routes every journal ::write through `shim` so a
 // test can force short transfers and spurious EINTR against a real fd —

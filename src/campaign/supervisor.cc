@@ -30,7 +30,7 @@ struct Slot {
   int fd = -1;  // read end of the report pipe
   size_t index = 0;
   size_t attempt = 0;
-  net::FrameDecoder decoder{kMaxReportFramePayload};  // the report frame
+  net::FrameDecoder decoder;  // the report frame
   Clock::time_point deadline{};
   bool has_deadline = false;
   bool deadline_killed = false;
@@ -80,7 +80,7 @@ Status DrainPipe(Slot& slot) {
     const ssize_t n = ::read(slot.fd, chunk, sizeof(chunk));
     if (n > 0) {
       if (slot.decoder.buffered() + static_cast<size_t>(n) >
-          kMaxReportFramePayload + net::kNetFrameHeaderSize) {
+          net::kMaxNetFramePayload + net::kNetFrameHeaderSize) {
         return Status::Internal("worker frame exceeds the payload bound");
       }
       slot.decoder.Append(std::string_view(chunk, static_cast<size_t>(n)));

@@ -34,8 +34,7 @@ void RunWorkerChild(const vaccine::VaccinePipeline& pipeline,
   // Failure to ship the frame is indistinguishable from a crash to the
   // supervisor, which is exactly the semantics we want: no report, no
   // completion.
-  (void)net::WriteNetFrame(fd, vaccine::SampleReportToJson(report),
-                           kMaxReportFramePayload);
+  (void)net::WriteNetFrame(fd, vaccine::SampleReportToJson(report));
   // _exit, not exit: the child inherited the parent's stdio buffers and
   // atexit handlers; running them here would duplicate output and tear
   // down state the parent still owns.

@@ -17,10 +17,6 @@
 
 namespace autovac::campaign {
 
-// Cap on a report frame: a SampleReport carries its natural trace, so
-// the pipe allows far larger frames than the network protocols do.
-inline constexpr size_t kMaxReportFramePayload = 256u << 20;
-
 // Derives the pipeline for retry `attempt` (0 = first try): each retry
 // halves the phase-1 and impact cycle budgets — deterministic exponential
 // backoff, so a sample that keeps flattening workers converges to a

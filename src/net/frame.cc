@@ -18,7 +18,7 @@ namespace {
 constexpr size_t kReadChunk = 64u << 10;
 
 // Validates an 8-byte header and returns the payload length it claims.
-Result<uint32_t> ParseHeader(std::string_view header, size_t max_payload) {
+Result<uint32_t> ParseHeader(std::string_view header) {
   BinReader reader{header};
   uint32_t magic = 0;
   uint32_t length = 0;
@@ -27,7 +27,7 @@ Result<uint32_t> ParseHeader(std::string_view header, size_t max_payload) {
   if (magic != kNetFrameMagic) {
     return Status::InvalidArgument("bad frame magic");
   }
-  if (length > max_payload) {
+  if (length > kMaxNetFramePayload) {
     return Status::InvalidArgument("frame payload too large");
   }
   return length;
@@ -93,8 +93,8 @@ std::string EncodeNetFrame(std::string_view payload) {
   return frame;
 }
 
-Status WriteNetFrame(int fd, std::string_view payload, size_t max_payload) {
-  if (payload.size() > max_payload) {
+Status WriteNetFrame(int fd, std::string_view payload) {
+  if (payload.size() > kMaxNetFramePayload) {
     return Status::InvalidArgument("frame payload too large");
   }
   return WriteAll(fd, EncodeNetFrame(payload));
@@ -104,8 +104,8 @@ Result<bool> FrameDecoder::Next(std::string* payload) {
   if (buffered() < kNetFrameHeaderSize) return false;
   AUTOVAC_ASSIGN_OR_RETURN(
       const uint32_t length,
-      ParseHeader(std::string_view(buffer_).substr(pos_, kNetFrameHeaderSize),
-                  max_payload_));
+      ParseHeader(
+          std::string_view(buffer_).substr(pos_, kNetFrameHeaderSize)));
   if (buffered() < kNetFrameHeaderSize + length) return false;
   payload->assign(buffer_, pos_ + kNetFrameHeaderSize, length);
   pos_ += kNetFrameHeaderSize + length;
@@ -131,8 +131,7 @@ Result<std::string> ReadNetFrame(int fd) {
   }
   AUTOVAC_ASSIGN_OR_RETURN(
       const uint32_t length,
-      ParseHeader(std::string_view(header, sizeof(header)),
-                  kMaxNetFramePayload));
+      ParseHeader(std::string_view(header, sizeof(header))));
   std::string payload;
   while (payload.size() < length) {
     const size_t have = payload.size();

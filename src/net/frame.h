@@ -22,9 +22,9 @@ namespace autovac::net {
 // "AVNF" little-endian: AutoVac Net Frame.
 inline constexpr uint32_t kNetFrameMagic = 0x464E5641;
 inline constexpr size_t kNetFrameHeaderSize = 8;
-// Default payload cap: protocol messages are JSON requests/replies, and
-// 64 MB is far above any realistic vaccine feed page. Callers with a
-// different bound (the campaign report pipe) pass their own.
+// Payload cap of every frame: protocol messages are JSON requests and
+// replies, and 64 MB is far above any realistic vaccine feed page or
+// sample report.
 inline constexpr size_t kMaxNetFramePayload = 64u << 20;
 
 // Header + payload as raw bytes — what WriteNetFrame puts on the wire.
@@ -32,9 +32,8 @@ inline constexpr size_t kMaxNetFramePayload = 64u << 20;
 [[nodiscard]] std::string EncodeNetFrame(std::string_view payload);
 
 // Writes one frame to a socket or pipe; retries EINTR, maps timeouts to
-// DeadlineExceeded, and refuses payloads above `max_payload`.
-[[nodiscard]] Status WriteNetFrame(int fd, std::string_view payload,
-                                   size_t max_payload = kMaxNetFramePayload);
+// DeadlineExceeded, and refuses payloads above kMaxNetFramePayload.
+[[nodiscard]] Status WriteNetFrame(int fd, std::string_view payload);
 
 // Reads exactly one frame. The payload buffer grows as bytes arrive, so
 // a header that claims more than the peer sends costs only what it sent.
@@ -46,9 +45,6 @@ inline constexpr size_t kMaxNetFramePayload = 64u << 20;
 // all come out.
 class FrameDecoder {
  public:
-  explicit FrameDecoder(size_t max_payload = kMaxNetFramePayload)
-      : max_payload_(max_payload) {}
-
   void Append(std::string_view bytes) { buffer_.append(bytes); }
 
   // Extracts the next complete frame's payload into `*payload`. Returns
@@ -62,7 +58,6 @@ class FrameDecoder {
   [[nodiscard]] size_t buffered() const { return buffer_.size() - pos_; }
 
  private:
-  size_t max_payload_;
   std::string buffer_;
   size_t pos_ = 0;  // consumed prefix, compacted opportunistically
 };

@@ -4,7 +4,6 @@
 
 #include "support/digest.h"
 #include "support/strings.h"
-#include "trace/serialize.h"
 #include "vm/cpu.h"
 
 namespace autovac::vaccine {
@@ -290,8 +289,9 @@ std::string SampleReportToJson(const SampleReport& report) {
                      static_cast<unsigned long long>(cost.ticks));
   }
   out += StrFormat(
-      "],\"natural_trace\":%s}",
-      Quoted(trace::SerializeApiTrace(report.natural_trace)).c_str());
+      "],\"natural_trace\":{\"digest\":\"%s\",\"calls\":%llu}}",
+      report.natural_trace.DigestHex().c_str(),
+      static_cast<unsigned long long>(report.natural_trace.calls));
   return out;
 }
 
@@ -304,11 +304,8 @@ Result<SampleReport> SampleReportFromJson(const JsonValue& json) {
                            JsonFieldString(json, "name"));
   AUTOVAC_ASSIGN_OR_RETURN(report.sample_digest,
                            JsonFieldString(json, "digest"));
-  // Absent in journals written before the evasion subsystem existed.
-  if (json.Find("evasion_class") != nullptr) {
-    AUTOVAC_ASSIGN_OR_RETURN(report.evasion_class,
-                             JsonFieldString(json, "evasion_class"));
-  }
+  AUTOVAC_ASSIGN_OR_RETURN(report.evasion_class,
+                           JsonFieldString(json, "evasion_class"));
   AUTOVAC_ASSIGN_OR_RETURN(
       const uint64_t disposition,
       EnumField(json, "disposition", kNumDispositions));
@@ -376,10 +373,16 @@ Result<SampleReport> SampleReportFromJson(const JsonValue& json) {
     report.phase_costs.push_back(std::move(cost));
   }
 
-  AUTOVAC_ASSIGN_OR_RETURN(const std::string trace_text,
-                           JsonFieldString(json, "natural_trace"));
-  AUTOVAC_ASSIGN_OR_RETURN(report.natural_trace,
-                           trace::ParseApiTrace(trace_text));
+  const JsonValue* summary = json.Find("natural_trace");
+  if (summary == nullptr || !summary->is_object()) {
+    return Status::InvalidArgument(
+        "natural_trace is not a trace summary (digest and calls)");
+  }
+  AUTOVAC_ASSIGN_OR_RETURN(const std::string digest,
+                           JsonFieldString(*summary, "digest"));
+  AUTOVAC_RETURN_IF_ERROR(report.natural_trace.SetDigestHex(digest));
+  AUTOVAC_ASSIGN_OR_RETURN(report.natural_trace.calls,
+                           JsonFieldUint64(*summary, "calls"));
   return report;
 }
 

@@ -6,11 +6,11 @@
 // ship their report to the supervisor through it — so the round trip must
 // be *exact* for every deterministic field: a report that crossed a
 // process boundary or a journal replay must serialize byte-identically to
-// the in-memory original. Two deliberate exceptions, both documented in
+// the in-memory original. One deliberate exception, documented in
 // src/support/tracing.h: wall-clock span times (informational only) are
-// not serialized and parse back as zero, and the natural API trace is
-// embedded as its canonical line-format text (trace/serialize.h), whose
-// own round trip is exact.
+// not serialized and parse back as zero. The natural API trace travels
+// as its summary (trace/serialize.h: digest and call count), about 70
+// bytes in a report of about 1 KB.
 #pragma once
 
 #include <string>

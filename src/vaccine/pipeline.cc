@@ -100,6 +100,16 @@ os::HostEnvironment VaccinePipeline::BaselineMachine() const {
   return os::HostEnvironment::StandardMachine(options_.machine_seed);
 }
 
+sandbox::RunOptions VaccinePipeline::Phase1RunOptions() const {
+  sandbox::RunOptions options;
+  options.cycle_budget = options_.phase1_budget;
+  options.enable_taint = true;
+  options.record_instructions = true;  // for determinism analysis
+  options.limits = options_.limits;
+  options.fault_plan = options_.fault_plan;
+  return options;
+}
+
 VaccinePipeline::ImpactAttempt VaccinePipeline::ComputeImpact(
     const vm::Program& sample, const os::HostEnvironment& baseline,
     const trace::ApiTrace& natural, const analysis::MutationTarget& target,
@@ -366,12 +376,7 @@ SampleReport VaccinePipeline::Analyze(const vm::Program& sample) const {
   try {
     ScopedSpan span(tracer, "phase1");
     os::HostEnvironment phase1_env = BaselineMachine();
-    sandbox::RunOptions phase1_options;
-    phase1_options.cycle_budget = options_.phase1_budget;
-    phase1_options.enable_taint = true;
-    phase1_options.record_instructions = true;  // for determinism analysis
-    phase1_options.limits = options_.limits;
-    phase1_options.fault_plan = options_.fault_plan;
+    const sandbox::RunOptions phase1_options = Phase1RunOptions();
     if (fast_path) {
       // Snapshot only the triples Phase-II may mutate.
       sandbox::CaptureOptions capture;
@@ -414,7 +419,9 @@ SampleReport VaccinePipeline::Analyze(const vm::Program& sample) const {
   // else: "if we find no program branches depend on any system resource,
   // we filter this malware" (§II-B).
 
-  report.natural_trace = std::move(phase1.api_trace);
+  // The trace goes out of scope with `phase1`; the report keeps its
+  // summary.
+  report.natural_trace = trace::SummarizeApiTrace(phase1.api_trace);
   report.phase_costs = tracer.PhaseTotals(first_span);
   return report;
 }

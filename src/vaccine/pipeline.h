@@ -16,6 +16,7 @@
 #include "os/host_environment.h"
 #include "support/status.h"
 #include "support/tracing.h"
+#include "trace/serialize.h"
 #include "vaccine/vaccine.h"
 #include "vm/program.h"
 
@@ -119,8 +120,11 @@ struct SampleReport {
   // under fixed seeds; wall_ns is informational only.
   std::vector<PhaseTotal> phase_costs;
 
-  // Retained for corpus-level statistics benches.
-  trace::ApiTrace natural_trace;
+  // What the report keeps of the phase-1 (natural) API trace: its digest
+  // and call count. The trace itself is dropped once Phase-II has aligned
+  // every mutated run against it; a default summary means phase 1
+  // recorded none (it crashed, or the worker died).
+  trace::ApiTraceSummary natural_trace;
 
   // True when both phases ran to completion without an isolated crash.
   [[nodiscard]] bool Clean() const {
@@ -151,6 +155,11 @@ class VaccinePipeline {
 
   // A fresh copy of the analysis machine this pipeline uses as baseline.
   [[nodiscard]] os::HostEnvironment BaselineMachine() const;
+
+  // The options of Analyze's phase-1 run: taint on, instructions
+  // recorded. Running a sample with them on BaselineMachine() gives the
+  // natural trace that the report summarizes.
+  [[nodiscard]] sandbox::RunOptions Phase1RunOptions() const;
 
   [[nodiscard]] const PipelineOptions& options() const { return options_; }
 

@@ -17,6 +17,7 @@
 #include "campaign/journal.h"
 #include "campaign/supervisor.h"
 #include "campaign/worker.h"
+#include "fleet/coordinator.h"
 #include "malware/corpus.h"
 #include "support/tracing.h"
 #include "vaccine/json.h"
@@ -153,6 +154,59 @@ TEST(Journal, TornTailIsDroppedAndMidCorruptionRefused) {
   WriteFile(file.path(), corrupted);
   EXPECT_FALSE(
       campaign::CampaignJournal::Load(file.path(), wave.size()).ok());
+}
+
+// A version-1 journal, whose reports quoted their whole trace text, is
+// refused by name, by the journal reader, the supervisor and the fleet
+// coordinator alike, before any of its reports is parsed.
+TEST(Journal, OlderVersionIsRefused) {
+  ScratchFile file("journal_v1_test.jsonl");
+  const std::vector<vm::Program> wave = SmallCorpus(14, 2);
+  vaccine::VaccinePipeline pipeline(nullptr, FastOptions());
+  {
+    auto journal = campaign::CampaignJournal::Create(
+        file.path(), campaign::MakeJournalHeader(FastOptions(), wave));
+    ASSERT_TRUE(journal.ok());
+    ASSERT_TRUE(
+        journal->Append(0, vaccine::AnalyzeIsolated(pipeline, wave[0])).ok());
+  }
+  // Rewrite it the way version 1 wrote it.
+  std::string text = ReadFile(file.path());
+  const std::string version = "\"version\":2,";
+  ASSERT_NE(text.find(version), std::string::npos);
+  text.replace(text.find(version), version.size(), "\"version\":1,");
+  const size_t trace = text.find("\"natural_trace\":{");
+  ASSERT_NE(trace, std::string::npos);
+  text.replace(trace, text.find('}', trace) + 1 - trace,
+               "\"natural_trace\":\"APITRACE v1 0 0 0\\n\"");
+  WriteFile(file.path(), text);
+
+  const std::string expected = "unsupported journal version 1";
+  auto replay = campaign::CampaignJournal::Load(file.path(), wave.size());
+  ASSERT_FALSE(replay.ok());
+  EXPECT_NE(replay.status().message().find(expected), std::string::npos)
+      << replay.status().ToString();
+
+  campaign::CampaignOptions options;
+  options.journal_path = file.path();
+  options.resume = true;
+  auto resumed = campaign::RunDurableCampaign(pipeline, wave, options);
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_NE(resumed.status().message().find(expected), std::string::npos)
+      << resumed.status().ToString();
+
+  fleet::CoordinatorOptions coordinator_options;
+  coordinator_options.socket_path = "journal_v1_test.sock";
+  coordinator_options.journal_path = file.path();
+  coordinator_options.resume = true;
+  fleet::FleetCoordinator coordinator(wave, FastOptions(),
+                                      coordinator_options);
+  const Status started = coordinator.Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_NE(started.message().find(expected), std::string::npos)
+      << started.ToString();
+  // The journal is left as it was.
+  EXPECT_EQ(ReadFile(file.path()), text);
 }
 
 // ---------------------------------------------------------------------

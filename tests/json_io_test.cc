@@ -182,8 +182,13 @@ TEST(ReportJson, PipelineReportsRoundTripByteIdentically) {
               vaccine::SampleReportToJson(report));
     EXPECT_EQ(back.sample_digest, report.sample_digest);
     EXPECT_EQ(back.vaccines.size(), report.vaccines.size());
-    EXPECT_EQ(back.natural_trace.calls.size(),
-              report.natural_trace.calls.size());
+    // The natural trace crosses as its summary: recorded, non-empty, and
+    // equal after the round trip.
+    EXPECT_TRUE(report.natural_trace.recorded());
+    EXPECT_GT(report.natural_trace.calls, 0u);
+    EXPECT_EQ(back.natural_trace.DigestHex(),
+              report.natural_trace.DigestHex());
+    EXPECT_EQ(back.natural_trace.calls, report.natural_trace.calls);
     for (size_t i = 0; i < report.vaccines.size(); ++i) {
       EXPECT_EQ(vaccine::VaccineToJson(back.vaccines[i]),
                 vaccine::VaccineToJson(report.vaccines[i]));

@@ -18,6 +18,7 @@
 #include "malware/corpus.h"
 #include "sandbox/sandbox.h"
 #include "support/metrics.h"
+#include "trace/serialize.h"
 #include "vaccine/json.h"
 #include "vaccine/pipeline.h"
 
@@ -251,11 +252,19 @@ TEST(MutationFastPath, RealCorpusSliceWithIndexByteIdentical) {
     const uint64_t captured = captures->value() - captures_before;
     vaccines += report.vaccines.size();
 
+    // The natural trace, from the test's own phase-1 run: the one the
+    // report summarizes.
+    os::HostEnvironment env = fast_pipeline.BaselineMachine();
+    const sandbox::RunResult phase1 = sandbox::RunProgram(
+        sample, env, fast_pipeline.Phase1RunOptions());
+    ASSERT_EQ(trace::SummarizeApiTrace(phase1.api_trace).DigestHex(),
+              report.natural_trace.DigestHex());
+
     // Every capture is of a triple Phase-II may mutate: exactly the
     // distinct resource triples with an exclusive identifier.
     std::set<std::tuple<std::string, uint32_t, std::string>> all;
     std::set<std::tuple<std::string, uint32_t, std::string>> eligible;
-    for (const trace::ApiCallRecord& call : report.natural_trace.calls) {
+    for (const trace::ApiCallRecord& call : phase1.api_trace.calls) {
       if (!call.is_resource_api) continue;
       const auto triple = std::make_tuple(call.api_name, call.caller_pc,
                                           call.resource_identifier);

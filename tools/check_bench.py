@@ -21,6 +21,10 @@ Gating policy:
   * Snapshot replay on the real corpus (off/on wall ratio over the same
     samples, same process) gates with --min-corpus-replay-ratio, read
     from the current run only; a run without the section fails.
+  * The campaign's per-sample report JSON and journal bytes (a sample's
+    share of what crosses the worker pipe and the fsync'd journal) gate
+    with --max-report-kb, read from the current run only; a mode without
+    the keys fails with exit 2.
 
 Exit status: 0 clean, 1 on any regression, 2 on usage/IO errors.
 """
@@ -187,7 +191,7 @@ def parse_min_bdr(specs):
     return floors
 
 
-def compare_campaign(base, cur, gate):
+def compare_campaign(base, cur, gate, max_report_kb):
     gate.check_exact("samples", require(base, "samples", "baseline"),
                      require(cur, "samples", "current"))
     base_modes = {m["mode"]: m for m in require(base, "modes", "baseline")}
@@ -207,6 +211,18 @@ def compare_campaign(base, cur, gate):
                    float(base_modes[name]["wall_ms"]),
                    float(cur_modes[name]["wall_ms"]),
                    gate=gate.check_wall)
+    if max_report_kb is None:
+        return
+    for name in sorted(cur_modes):
+        where = f"current mode '{name}'"
+        for key, what in (("report_bytes_per_sample", "report"),
+                          ("journal_bytes_per_sample", "journal")):
+            kb = float(require(cur_modes[name], key, where)) / 1e3
+            verdict = "ok" if kb <= max_report_kb else "REGRESSION"
+            if verdict != "ok":
+                gate.failures.append(f"mode {name} {key}")
+            print(f"  {f'mode {name} {what} KB/sample':<44} "
+                  f"{max_report_kb:>14.2f} >= {kb:>11.2f} {verdict}")
 
 
 def compare_serving(base, cur, gate, min_index_speedup,
@@ -402,6 +418,10 @@ def main():
                         help="minimum off/on wall ratio of snapshot replay "
                              "over the real corpus (pipeline bench); "
                              "errors if the section is absent")
+    parser.add_argument("--max-report-kb", type=float, default=None,
+                        help="maximum mean report JSON and journal KB per "
+                             "sample in every mode (campaign bench); "
+                             "errors if the keys are absent")
     parser.add_argument("--min-index-speedup", type=float, default=10.0,
                         help="minimum match-index speedup over the linear "
                              "scan (serving bench)")
@@ -442,7 +462,7 @@ def main():
         compare_pipeline(base, cur, gate, args.min_speedup,
                          args.min_corpus_replay_ratio)
     elif kind == "campaign":
-        compare_campaign(base, cur, gate)
+        compare_campaign(base, cur, gate, args.max_report_kb)
     elif kind == "serving":
         compare_serving(base, cur, gate, args.min_index_speedup,
                         args.min_recovery_speedup, args.min_qps,
