@@ -181,7 +181,22 @@ Result<CampaignJournal> CampaignJournal::Create(const std::string& path,
   return journal;
 }
 
-Result<CampaignJournal> CampaignJournal::OpenAppend(const std::string& path) {
+Result<CampaignJournal> CampaignJournal::Open(const std::string& path,
+                                              const JournalHeader& header,
+                                              bool resume, Replay* replay) {
+  if (!resume) {
+    *replay = Replay{};
+    replay->reports.resize(header.sample_names.size());
+    return Create(path, header);
+  }
+  AUTOVAC_ASSIGN_OR_RETURN(*replay, Load(path, header.sample_names.size()));
+  if (replay->header.config_digest != header.config_digest) {
+    return Status::FailedPrecondition(StrFormat(
+        "journal %s belongs to a different campaign "
+        "(config digest %s, expected %s); refusing to resume",
+        path.c_str(), replay->header.config_digest.c_str(),
+        header.config_digest.c_str()));
+  }
   const int fd = ::open(path.c_str(), O_WRONLY | O_APPEND);
   if (fd < 0) {
     return Status::NotFound(StrFormat("cannot open journal %s: %s",

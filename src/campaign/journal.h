@@ -75,10 +75,6 @@ class CampaignJournal {
   [[nodiscard]] static Result<CampaignJournal> Create(
       const std::string& path, const JournalHeader& header);
 
-  // Opens an existing journal for appending further sample records.
-  [[nodiscard]] static Result<CampaignJournal> OpenAppend(
-      const std::string& path);
-
   // Replayed journal state.
   struct Replay {
     JournalHeader header;
@@ -100,6 +96,16 @@ class CampaignJournal {
   // error, this is the defensive backstop).
   [[nodiscard]] static Result<Replay> Load(const std::string& path,
                                            size_t corpus_size);
+
+  // Opens the journal of the campaign `header` describes, for appending:
+  // the one path by which the campaign supervisor and the fleet
+  // coordinator start or resume. Fresh: Create, and `*replay` holds no
+  // completed sample. `resume`: Load `path` into `*replay`, refuse it
+  // when its config digest is not `header`'s (the journal belongs to a
+  // different campaign), and reopen it for appending.
+  [[nodiscard]] static Result<CampaignJournal> Open(
+      const std::string& path, const JournalHeader& header, bool resume,
+      Replay* replay);
 
   // Appends one completed sample record and fsyncs it to disk. With
   // `sync` false (benchmarks only) the fsync is skipped.

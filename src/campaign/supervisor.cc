@@ -116,28 +116,15 @@ Result<CampaignRun> RunDurableCampaign(
   CampaignJournal journal;
   const bool journaling = !options.journal_path.empty();
   if (journaling) {
-    const JournalHeader header =
-        MakeJournalHeader(pipeline.options(), samples, options.config_extra);
-    if (options.resume) {
-      AUTOVAC_ASSIGN_OR_RETURN(
-          CampaignJournal::Replay replay,
-          CampaignJournal::Load(options.journal_path, samples.size()));
-      if (replay.header.config_digest != header.config_digest) {
-        return Status::FailedPrecondition(StrFormat(
-            "journal %s belongs to a different campaign "
-            "(config digest %s, expected %s); refusing to resume",
-            options.journal_path.c_str(),
-            replay.header.config_digest.c_str(), header.config_digest.c_str()));
-      }
-      done = std::move(replay.reports);
-      run.stats.samples_loaded = replay.completed;
-      AUTOVAC_ASSIGN_OR_RETURN(journal,
-                               CampaignJournal::OpenAppend(options.journal_path));
-    } else {
-      AUTOVAC_ASSIGN_OR_RETURN(journal,
-                               CampaignJournal::Create(options.journal_path,
-                                                       header));
-    }
+    CampaignJournal::Replay replay;
+    AUTOVAC_ASSIGN_OR_RETURN(
+        journal,
+        CampaignJournal::Open(options.journal_path,
+                              MakeJournalHeader(pipeline.options(), samples,
+                                                options.config_extra),
+                              options.resume, &replay));
+    done = std::move(replay.reports);
+    run.stats.samples_loaded = replay.completed;
   }
 
   // Pending work, corpus order. Each entry is (sample index, attempt).
@@ -272,8 +259,10 @@ Result<CampaignRun> RunDurableCampaign(
         // reap everything in flight before reporting it.
         stopping = true;
       }
+      // Each attempt in flight may complete a sample, so never run more of
+      // them than the stop-after budget has left.
       while (loop_error.ok() && !stopping && slots.size() < options.jobs &&
-             !queue.empty()) {
+             slots.size() < budget && !queue.empty()) {
         const auto [index, attempt] = queue.front();
         queue.pop_front();
         loop_error = launch(index, attempt);

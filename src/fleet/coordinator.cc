@@ -51,34 +51,19 @@ Status FleetCoordinator::Start() {
   done_.assign(samples_.size(), std::nullopt);
   uint64_t first_lease_id = 1;
   if (!options_.journal_path.empty()) {
-    const campaign::JournalHeader header = campaign::MakeJournalHeader(
-        pipeline_options_, samples_, options_.config_extra);
-    if (options_.resume) {
-      AUTOVAC_ASSIGN_OR_RETURN(
-          campaign::CampaignJournal::Replay replay,
-          campaign::CampaignJournal::Load(options_.journal_path,
-                                          samples_.size()));
-      if (replay.header.config_digest != header.config_digest) {
-        return Status::FailedPrecondition(StrFormat(
-            "journal %s belongs to a different campaign "
-            "(config digest %s, expected %s); refusing to resume",
-            options_.journal_path.c_str(),
-            replay.header.config_digest.c_str(),
-            header.config_digest.c_str()));
-      }
-      done_ = std::move(replay.reports);
-      stats_.resumed_completed = replay.completed;
-      stats_.resumed_max_lease = replay.max_lease_id;
-      // Strictly above every id the dead incarnation ever journaled: a
-      // zombie holding a pre-crash lease can never present a live id.
-      first_lease_id = replay.max_lease_id + 1;
-      AUTOVAC_ASSIGN_OR_RETURN(
-          journal_,
-          campaign::CampaignJournal::OpenAppend(options_.journal_path));
-    } else {
-      AUTOVAC_ASSIGN_OR_RETURN(journal_, campaign::CampaignJournal::Create(
-                                             options_.journal_path, header));
-    }
+    campaign::CampaignJournal::Replay replay;
+    AUTOVAC_ASSIGN_OR_RETURN(
+        journal_, campaign::CampaignJournal::Open(
+                      options_.journal_path,
+                      campaign::MakeJournalHeader(pipeline_options_, samples_,
+                                                  options_.config_extra),
+                      options_.resume, &replay));
+    done_ = std::move(replay.reports);
+    stats_.resumed_completed = replay.completed;
+    stats_.resumed_max_lease = replay.max_lease_id;
+    // Strictly above every id the dead incarnation ever journaled: a
+    // zombie holding a pre-crash lease can never present a live id.
+    first_lease_id = replay.max_lease_id + 1;
   }
 
   LeaseTable::Options lease_options;

@@ -42,8 +42,8 @@ RunMetrics& GetRunMetrics() {
   return *metrics;
 }
 
-// Checkpoint/restore telemetry. Counters are relaxed atomics, so the
-// resume side is safe to call from the mutation fan-out worker threads.
+// Checkpoint/restore telemetry. Counters are relaxed atomics, so
+// concurrent resumes of one snapshot count safely.
 struct SnapshotMetrics {
   Counter* captures;
   Counter* capture_bytes;

@@ -1,5 +1,5 @@
 // Machine-state checkpointing for mutation re-runs — the fast path behind
-// snapshot replay and `--mutation-threads`.
+// snapshot replay.
 //
 // During a profiling (phase-1) run, a SnapshotRecorder captures one
 // MachineSnapshot at the FIRST occurrence of each distinct resource-API

@@ -1,13 +1,12 @@
-// A small fixed-size worker pool for the mutation fan-out. Deliberately
-// minimal: submit closures, wait for the queue to drain. Determinism is
-// the caller's job — the pipeline merges speculative results in target
-// order, so scheduling order here never reaches a report.
+// A small fixed-size worker pool: the frame server runs the requests it
+// defers on one (vacd's writes, the fleet coordinator's claims and
+// completions). Deliberately minimal: submit closures, wait for the
+// queue to drain. Tasks run in no fixed order, so a caller that needs a
+// deterministic result orders it itself.
 //
-// Fork safety: create the pool, use it, and destroy it within one scope
-// on one thread. Campaign workers fork; a pool must never be alive
-// across a fork (the child would inherit locked mutexes and dead
-// threads), which the pipeline guarantees by scoping the pool to a
-// single phase-2 call.
+// Fork safety: a pool must never be alive across a fork (the child would
+// inherit locked mutexes and dead threads). The one process that forks,
+// the campaign supervisor, runs no frame server.
 #pragma once
 
 #include <condition_variable>

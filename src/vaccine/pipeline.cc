@@ -1,15 +1,12 @@
 #include "vaccine/pipeline.h"
 
 #include <algorithm>
-#include <future>
-#include <memory>
 #include <set>
 
 #include "sandbox/sandbox.h"
 #include "sandbox/snapshot.h"
 #include "support/logging.h"
 #include "support/metrics.h"
-#include "support/threadpool.h"
 
 namespace autovac::vaccine {
 namespace {
@@ -158,8 +155,7 @@ VaccinePipeline::ImpactAttempt VaccinePipeline::ComputeImpact(
     attempt.impact = std::move(impact);
   } catch (const std::exception& e) {
     // Keep the partial fault tally: runs that completed before the crash
-    // already injected their faults, exactly as the sequential path
-    // counted them.
+    // already injected their faults.
     attempt.crashed = true;
     attempt.crash_message = e.what();
   }
@@ -229,52 +225,16 @@ bool VaccinePipeline::StaticallyEligible(std::string_view identifier) const {
 void VaccinePipeline::AnalyzePhase2(
     const vm::Program& sample, const sandbox::RunResult& phase1,
     SampleReport& report, const sandbox::SnapshotRecorder* snapshots) const {
-  std::vector<analysis::MutationTarget> targets =
+  const std::vector<analysis::MutationTarget> targets =
       analysis::CollectMutationTargets(phase1.api_trace);
   report.targets_considered = targets.size();
 
   const os::HostEnvironment baseline = BaselineMachine();
 
-  // Speculative fan-out: with N > 1 worker threads, every statically
-  // eligible target's impact analysis starts immediately on the pool.
-  // Some speculation is wasted — a target the merge loop later skips
-  // (vaccine_keys, cap) computed an attempt nobody reads — but that is
-  // what makes the merge deterministic: it consumes results strictly in
-  // target order and applies exactly the skips the sequential path
-  // applies, so discarded attempts never touch the report.
-  //
-  // Destruction order matters: the pool is declared last so its
-  // destructor joins the workers before attempts/promises go away.
-  std::vector<ImpactAttempt> attempts(targets.size());
-  std::vector<std::promise<void>> promises(targets.size());
-  std::vector<std::future<void>> futures(targets.size());
-  std::unique_ptr<ThreadPool> pool;
-  if (options_.mutation_threads > 1 && !targets.empty()) {
-    pool = std::make_unique<ThreadPool>(options_.mutation_threads);
-    for (size_t i = 0; i < targets.size(); ++i) {
-      if (!StaticallyEligible(targets[i].identifier)) continue;
-      futures[i] = promises[i].get_future();
-      ImpactAttempt* slot = &attempts[i];
-      std::promise<void>* done = &promises[i];
-      const analysis::MutationTarget* target = &targets[i];
-      const trace::ApiTrace* natural = &phase1.api_trace;
-      const os::HostEnvironment* base = &baseline;
-      pool->Submit([this, &sample, base, natural, target, snapshots, slot,
-                    done] {
-        // ComputeImpact is exception-free by contract, so the promise is
-        // always fulfilled and the merge loop can never deadlock.
-        *slot = ComputeImpact(sample, *base, *natural, *target, snapshots);
-        done->set_value();
-      });
-    }
-  }
-
   Tracer& tracer = GlobalTracer();
   std::set<std::pair<os::ResourceType, std::string>> vaccine_keys;
   size_t impact_runs = 0;
-  for (size_t target_index = 0; target_index < targets.size();
-       ++target_index) {
-    const analysis::MutationTarget& target = targets[target_index];
+  for (const analysis::MutationTarget& target : targets) {
     // One vaccine per resource: several call sites touching the same
     // identifier collapse into the first effective mutation.
     if (vaccine_keys.count({target.resource_type, target.identifier}) > 0) {
@@ -296,19 +256,13 @@ void VaccinePipeline::AnalyzePhase2(
     }
     ++impact_runs;
 
-    // Step-II: impact — collect the speculative attempt, or compute it
-    // inline on the sequential path. A crash leaves the effect unknown,
-    // so the target is dropped — the rest of the sample keeps analyzing.
+    // Step-II: impact. A crash leaves the effect unknown, so the target
+    // is dropped — the rest of the sample keeps analyzing.
     ImpactAttempt attempt;
     {
       ScopedSpan span(tracer, "mutation");
-      if (futures[target_index].valid()) {
-        futures[target_index].wait();
-        attempt = std::move(attempts[target_index]);
-      } else {
-        attempt = ComputeImpact(sample, baseline, phase1.api_trace, target,
-                                snapshots);
-      }
+      attempt = ComputeImpact(sample, baseline, phase1.api_trace, target,
+                              snapshots);
     }
     report.impact_retries += attempt.retries;
     report.faults_injected += attempt.faults_injected;

@@ -54,14 +54,6 @@ struct PipelineOptions {
   // only triples Phase-II may mutate are captured, and targets past the
   // cap fall back to full re-runs.
   size_t snapshot_cap = 32;
-  // Worker threads for the Phase-II mutation fan-out. 1 (the default)
-  // runs mutations inline on the calling thread; N > 1 speculatively
-  // computes every statically-eligible target's impact on a pool and
-  // merges results in target order, so reports stay byte-identical to
-  // the sequential path. Speculation may execute (and then discard)
-  // attempts the sequential path would have skipped, so wall-clock
-  // telemetry — not report contents — can differ across thread counts.
-  size_t mutation_threads = 1;
 };
 
 // How a sample's analysis ultimately ended, across every isolation layer
@@ -174,9 +166,9 @@ class VaccinePipeline {
  private:
   // Whether a target with this identifier can reach the impact analysis:
   // non-empty and, when the filter is on, exclusive. Static, so it both
-  // selects the phase-1 captures and gates the fan-out and the merge
-  // loop; the dynamic skips (vaccine_keys dedup, the impact-run cap)
-  // stay in the merge loop.
+  // selects the phase-1 captures and gates Phase-II's target loop; the
+  // dynamic skips (vaccine_keys dedup, the impact-run cap) stay in the
+  // loop.
   [[nodiscard]] bool StaticallyEligible(std::string_view identifier) const;
 
   // Phase-II body; exceptions escape to Analyze's isolation layer.
@@ -187,10 +179,8 @@ class VaccinePipeline {
                      SampleReport& report,
                      const sandbox::SnapshotRecorder* snapshots) const;
 
-  // The outcome of one target's impact analysis, carried from a (possibly
-  // speculative, possibly worker-thread) computation to the deterministic
-  // merge point. Report counters are applied only at merge, so a
-  // discarded speculative attempt never reaches a report.
+  // The outcome of one target's impact analysis, which Phase-II's target
+  // loop applies to the report's counters.
   struct ImpactAttempt {
     analysis::ImpactResult impact;
     size_t retries = 0;
@@ -202,8 +192,7 @@ class VaccinePipeline {
   // One target's mutation re-run: snapshot resume when possible, full
   // re-run otherwise, retried with a halved cycle budget (always a full
   // re-run — the halved budget invalidates resumes) while the run stops
-  // abnormally. Thread-safe: touches no report state, catches every
-  // exception into the attempt, and logs nothing.
+  // abnormally. Catches every exception into the attempt.
   [[nodiscard]] ImpactAttempt ComputeImpact(
       const vm::Program& sample, const os::HostEnvironment& baseline,
       const trace::ApiTrace& natural, const analysis::MutationTarget& target,

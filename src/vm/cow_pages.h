@@ -10,8 +10,8 @@
 // it, therefore costs O(pages touched).
 //
 // Threads: distinct arrays that share pages may be read, written, copied
-// and destroyed concurrently (one snapshot serves the mutation fan-out's
-// resumes). The ownership test before an in-place write is an acquire
+// and destroyed concurrently, so one snapshot may serve concurrent
+// resumes. The ownership test before an in-place write is an acquire
 // load that pairs with the release decrement of the last other owner, so
 // a writer never races a reader that has just let go of the page. One
 // array is, like any container, not safe to share between threads.

@@ -34,7 +34,7 @@ refused --jobs campaign x.asm --jobs two
 refused --fault-rate analyze x.asm --fault-seed 1 --fault-rate abc
 refused --fault-rate analyze x.asm --fault-seed 1 --fault-rate 7
 refused --max-api-calls analyze x.asm --max-api-calls 10x
-refused --mutation-threads analyze x.asm --mutation-threads 2x
+refused --sample-deadline-ms campaign x.asm --sample-deadline-ms 2x
 refused --max-call-depth analyze x.asm --max-call-depth 4294967297
 refused --since pull --socket s --since abc
 refused --page sync --socket s --page -1
@@ -42,6 +42,7 @@ refused --retries push --socket s --retries 4294967297 p.pkg
 refused --binary push --socket s --binary p.pkg
 refused --binary quarantine --socket s --binary d
 refused --fault-rate analyze x.asm --fault-rate 0.1
+refused --stop-after campaign x.asm --stop-after 1
 refused --seed corpus --out d --seed 0x10
 refused --tcp serve --socket s --tcp 127.0.0.1:99999
 exit $failed

@@ -287,8 +287,8 @@ TEST(CliFlags, RefusedInvocationsNameTheFlag) {
       {{"analyze", "x.asm", "--fault-seed", "1", "--fault-rate", "7"},
        "--fault-rate"},
       {{"analyze", "x.asm", "--max-api-calls", "10x"}, "--max-api-calls"},
-      {{"analyze", "x.asm", "--mutation-threads", "2x"},
-       "--mutation-threads"},
+      {{"campaign", "x.asm", "--sample-deadline-ms", "2x"},
+       "--sample-deadline-ms"},
       {{"analyze", "x.asm", "--max-call-depth", "4294967297"},
        "--max-call-depth"},
       {{"pull", "--socket", "s", "--since", "abc"}, "--since"},
@@ -299,6 +299,7 @@ TEST(CliFlags, RefusedInvocationsNameTheFlag) {
       {{"quarantine", "--socket", "s", "--binary", "d"}, "--binary"},
       {{"analyze", "x.asm", "--fault-rate", "0.1"}, "--fault-rate"},
       {{"campaign", "x.asm", "--fault-rate", "0.1"}, "--fault-rate"},
+      {{"campaign", "x.asm", "--stop-after", "1"}, "--stop-after"},
       {{"serve", "--socket", "s", "--rate-rps", "-1"}, "--rate-rps"},
       {{"corpus", "--out", "d", "--seed", "0x10"}, "--seed"},
   };
@@ -352,8 +353,8 @@ TEST(CliFlags, ValuesAreTakenVerbatimAndLaterFlagsWin) {
 // rows, so the same flags give the same options on both sides.
 TEST(CliFlags, FleetSidesParseIdenticalPipelineOptions) {
   const std::vector<std::string> pipeline = {
-      "--no-exclusiveness", "--max-api-calls", "900",  "--max-call-depth",
-      "12",                 "--mutation-threads", "3", "--no-snapshot-replay"};
+      "--no-exclusiveness", "--max-api-calls", "900", "--max-call-depth", "12",
+      "--no-snapshot-replay"};
   std::vector<std::string> coordinate = {"--socket", "s", "a.asm"};
   coordinate.insert(coordinate.end(), pipeline.begin(), pipeline.end());
   const auto coordinator = ParseCommand(*FindCommand("coordinate"), coordinate);
@@ -368,12 +369,10 @@ TEST(CliFlags, FleetSidesParseIdenticalPipelineOptions) {
   EXPECT_FALSE(a.run_exclusiveness);
   EXPECT_EQ(a.limits.max_api_calls, 900u);
   EXPECT_EQ(a.limits.max_call_depth, 12u);
-  EXPECT_EQ(a.mutation_threads, 3u);
   EXPECT_FALSE(a.snapshot_replay);
   EXPECT_EQ(a.run_exclusiveness, b.run_exclusiveness);
   EXPECT_EQ(a.limits.max_api_calls, b.limits.max_api_calls);
   EXPECT_EQ(a.limits.max_call_depth, b.limits.max_call_depth);
-  EXPECT_EQ(a.mutation_threads, b.mutation_threads);
   EXPECT_EQ(a.snapshot_replay, b.snapshot_replay);
 }
 

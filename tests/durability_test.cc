@@ -213,6 +213,9 @@ TEST(Journal, OlderVersionIsRefused) {
 // Supervisor: resume determinism
 // ---------------------------------------------------------------------
 
+// In process and with forked workers alike: with more workers than the
+// stop-after budget, the supervisor must not launch attempts the budget
+// cannot take.
 TEST(Durability, InterruptedThenResumedReportIsByteIdentical) {
   ScratchFile file("durability_resume_test.jsonl");
   const std::vector<vm::Program> wave = SmallCorpus(20260806, 5);
@@ -223,32 +226,39 @@ TEST(Durability, InterruptedThenResumedReportIsByteIdentical) {
   const std::string expected =
       vaccine::CampaignReportToJson(uninterrupted->report);
 
-  campaign::CampaignOptions first;
-  first.journal_path = file.path();
-  first.stop_after = 2;
-  auto interrupted = campaign::RunDurableCampaign(pipeline, wave, first);
-  ASSERT_TRUE(interrupted.ok()) << interrupted.status().ToString();
-  EXPECT_TRUE(interrupted->stats.interrupted);
-  EXPECT_EQ(interrupted->stats.samples_analyzed, 2u);
-  EXPECT_EQ(interrupted->report.reports.size(), 2u);
+  for (const size_t jobs : {1u, 3u}) {
+    SCOPED_TRACE("jobs " + std::to_string(jobs));
+    campaign::CampaignOptions first;
+    first.jobs = jobs;
+    first.journal_path = file.path();
+    first.stop_after = 2;
+    auto interrupted = campaign::RunDurableCampaign(pipeline, wave, first);
+    ASSERT_TRUE(interrupted.ok()) << interrupted.status().ToString();
+    EXPECT_TRUE(interrupted->stats.interrupted);
+    EXPECT_EQ(interrupted->stats.samples_analyzed, 2u);
+    EXPECT_EQ(interrupted->report.reports.size(), 2u);
 
-  // Tear the final journal record the way a crash mid-append would.
-  const std::string journal_bytes = ReadFile(file.path());
-  WriteFile(file.path(), journal_bytes.substr(0, journal_bytes.size() - 7));
+    // Tear the final journal record the way a crash mid-append would.
+    const std::string journal_bytes = ReadFile(file.path());
+    WriteFile(file.path(), journal_bytes.substr(0, journal_bytes.size() - 7));
 
-  campaign::CampaignOptions second;
-  second.journal_path = file.path();
-  second.resume = true;
-  auto resumed = campaign::RunDurableCampaign(pipeline, wave, second);
-  ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  // One of the two journaled samples was torn away, so the resume loads
-  // one and re-analyzes the torn one plus the three never-run ones.
-  EXPECT_EQ(resumed->stats.samples_loaded, 1u);
-  EXPECT_EQ(resumed->stats.samples_analyzed, 4u);
-  EXPECT_FALSE(resumed->stats.interrupted);
-  EXPECT_EQ(vaccine::CampaignReportToJson(resumed->report), expected);
+    campaign::CampaignOptions second;
+    second.jobs = jobs;
+    second.journal_path = file.path();
+    second.resume = true;
+    auto resumed = campaign::RunDurableCampaign(pipeline, wave, second);
+    ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
+    // One of the two journaled samples was torn away, so the resume loads
+    // one and re-analyzes the torn one plus the three never-run ones.
+    EXPECT_EQ(resumed->stats.samples_loaded, 1u);
+    EXPECT_EQ(resumed->stats.samples_analyzed, 4u);
+    EXPECT_FALSE(resumed->stats.interrupted);
+    EXPECT_EQ(vaccine::CampaignReportToJson(resumed->report), expected);
+  }
 }
 
+// The supervisor and the fleet coordinator open journals through one
+// function, and both refuse another campaign's journal by name.
 TEST(Durability, ResumeRefusesForeignJournal) {
   ScratchFile file("durability_foreign_test.jsonl");
   const std::vector<vm::Program> wave = SmallCorpus(31, 3);
@@ -257,16 +267,33 @@ TEST(Durability, ResumeRefusesForeignJournal) {
   campaign::CampaignOptions options;
   options.journal_path = file.path();
   ASSERT_TRUE(campaign::RunDurableCampaign(pipeline, wave, options).ok());
+  const std::string journal = ReadFile(file.path());
 
   // Same corpus, different budget: a silent resume would mix reports
   // from two different analyses into one "deterministic" artifact.
   vaccine::PipelineOptions changed = FastOptions();
   changed.phase1_budget /= 2;
+  const std::string expected = "belongs to a different campaign";
   vaccine::VaccinePipeline other(nullptr, changed);
   options.resume = true;
   auto resumed = campaign::RunDurableCampaign(other, wave, options);
   ASSERT_FALSE(resumed.ok());
   EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(resumed.status().message().find(expected), std::string::npos)
+      << resumed.status().ToString();
+
+  fleet::CoordinatorOptions coordinator_options;
+  coordinator_options.socket_path = "durability_foreign_test.sock";
+  coordinator_options.journal_path = file.path();
+  coordinator_options.resume = true;
+  fleet::FleetCoordinator coordinator(wave, changed, coordinator_options);
+  const Status started = coordinator.Start();
+  ASSERT_FALSE(started.ok());
+  EXPECT_EQ(started.code(), StatusCode::kFailedPrecondition);
+  EXPECT_NE(started.message().find(expected), std::string::npos)
+      << started.ToString();
+  // Neither refusal touched the journal.
+  EXPECT_EQ(ReadFile(file.path()), journal);
 }
 
 TEST(Durability, ResumeWithoutJournalIsRejected) {

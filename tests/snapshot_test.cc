@@ -301,7 +301,7 @@ TEST(SnapshotResume, DefaultCaptureSkipsTaintState) {
 
 // Resumes of one snapshot share its copy-on-write pages: threads that
 // clone, write and release them at once must each see exactly the run a
-// lone resume sees (the mutation fan-out's shape; the TSan lane runs it).
+// lone resume sees (the TSan lane runs it).
 TEST(SnapshotResume, ConcurrentResumesOfOneSnapshotMatchSequential) {
   auto program = AssembleForSandbox(kMultiTripleSample);
   ASSERT_TRUE(program.ok()) << program.status().ToString();

@@ -13,7 +13,6 @@
 #include <fstream>
 #include <map>
 #include <sstream>
-#include <thread>
 
 #include <sys/stat.h>
 
@@ -274,21 +273,6 @@ int CmdCampaign(const cli::CampaignArgs& args) {
   vaccine::PipelineOptions options = args.pipeline;
   analysis::ExclusivenessIndex index;
   if (options.run_exclusiveness) index = TrainIndex();
-  // Total concurrency is --jobs worker processes x --mutation-threads
-  // pool threads inside each worker; cap it at the machine's hardware
-  // threads so a generous flag combination cannot oversubscribe the box.
-  // The note goes to stderr — stdout is the dashboard, which must stay
-  // byte-comparable across machines.
-  const size_t jobs = args.durability.jobs;
-  const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
-  if (args.pipeline.mutation_threads > hardware / jobs) {
-    options.mutation_threads = std::max<size_t>(1, hardware / jobs);
-    std::fprintf(stderr,
-                 "campaign: capping --mutation-threads %zu -> %zu "
-                 "(%zu jobs x threads must fit %zu hardware threads)\n",
-                 args.pipeline.mutation_threads, options.mutation_threads,
-                 jobs, hardware);
-  }
   std::optional<sandbox::FaultPlan> fault_plan;
   ApplyFaultPlan(args.analysis, &fault_plan, &options);
   vaccine::VaccinePipeline pipeline(

@@ -152,6 +152,12 @@ Flag Hidden(Flag flag) {
   return flag;
 }
 
+// A flag that is refused unless `other` is given too.
+Flag Needs(std::string other, Flag flag) {
+  flag.requires_flag = std::move(other);
+  return flag;
+}
+
 // ---- shared groups --------------------------------------------------------
 
 FlagGroup PipelineGroup(vaccine::PipelineOptions* o) {
@@ -162,16 +168,11 @@ FlagGroup PipelineGroup(vaccine::PipelineOptions* o) {
                 "API calls per sandbox run; 0 = no cap"),
            Uint("--max-call-depth", &o->limits.max_call_depth,
                 "shadow call-stack depth; 0 = no cap"),
-           Uint("--mutation-threads", &o->mutation_threads,
-                "Phase-II threads; reports are identical for any n", 1),
            Switch("--no-snapshot-replay", &o->snapshot_replay, false,
                   "re-run mutations from the start, not from snapshots")}};
 }
 
 FlagGroup AnalysisGroup(AnalysisFlags* f) {
-  Flag rate = Real("--fault-rate", &f->fault_rate, 1,
-                   "fault probability per API call");
-  rate.requires_flag = "--fault-seed";
   return {"analysis output options",
           {Switch("--no-clinic", &f->run_clinic, false,
                   "skip the malware-clinic safety test"),
@@ -181,7 +182,9 @@ FlagGroup AnalysisGroup(AnalysisFlags* f) {
                 "write the full markdown report"),
            Uint("--fault-seed", &f->fault_seed,
                 "inject deterministic faults from seed n"),
-           std::move(rate),
+           Needs("--fault-seed",
+                 Real("--fault-rate", &f->fault_rate, 1,
+                      "fault probability per API call")),
            Text("--metrics-out", &f->metrics_path, "<f>",
                 "dump the metrics registry as JSONL"),
            Text("--trace-out", &f->trace_path, "<f>",
@@ -218,8 +221,9 @@ std::vector<FlagGroup> CampaignTable(CampaignArgs& a) {
                "skip samples already completed in --journal"),
         Uint("--sample-deadline-ms", &d.sample_deadline_ms,
              "per-sample deadline, enforced in forked workers; 0 = none"),
-        Uint("--stop-after", &d.stop_after,
-             "stop after n samples with exit code 3; 0 = never"),
+        Needs("--journal",
+              Uint("--stop-after", &d.stop_after,
+                   "stop after n samples with exit code 3; 0 = never")),
         Text("--campaign-out", &a.campaign_out, "<f>",
              "write the campaign report as JSON")}}};
 }

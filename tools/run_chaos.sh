@@ -15,7 +15,7 @@
 #   * evasion_test  — adversarial corpus: self-modifying unpacker
 #                     stubs, stalling loops, vaccine-aware chains, and
 #                     the byte-identity of SMC reports across the
-#                     snapshot fast path, mutation threads, jobs, and
+#                     snapshot fast path, legacy replay, jobs, and
 #                     journal resume
 #
 # The fleet CLI drill (tools/run_fleet_chaos.sh) layers the same kill
