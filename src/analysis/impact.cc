@@ -129,7 +129,6 @@ std::optional<ImpactResult> TryResumeImpactAnalysis(
 
   sandbox::ResumeOptions resume_options;
   resume_options.cycle_budget = options.cycle_budget;
-  resume_options.enable_taint = false;  // second round: behaviour only
   resume_options.limits = options.limits;
 
   auto run = sandbox::ResumeProgram(sample, snapshot, resume_options,

@@ -5,56 +5,16 @@
 #include "vaccine/json.h"
 
 namespace autovac::net {
-namespace {
-
-std::string VaccineArrayJson(const std::vector<vaccine::Vaccine>& vaccines) {
-  std::string out = "[";
-  for (size_t i = 0; i < vaccines.size(); ++i) {
-    if (i > 0) out += ",";
-    out += vaccine::VaccineToJson(vaccines[i]);
-  }
-  out += "]";
-  return out;
-}
-
-Result<std::vector<vaccine::Vaccine>> ParseVaccineArray(
-    const JsonValue& json, std::string_view key) {
-  const JsonValue* array = json.Find(key);
-  if (array == nullptr || !array->is_array()) {
-    return Status::InvalidArgument(
-        StrFormat("missing array field '%s'", std::string(key).c_str()));
-  }
-  std::vector<vaccine::Vaccine> vaccines;
-  vaccines.reserve(array->array.size());
-  for (const JsonValue& element : array->array) {
-    AUTOVAC_ASSIGN_OR_RETURN(vaccine::Vaccine vaccine,
-                             vaccine::VaccineFromJson(element));
-    vaccines.push_back(std::move(vaccine));
-  }
-  return vaccines;
-}
-
-Result<uint64_t> EnumField(const JsonValue& json, std::string_view key,
-                           size_t bound) {
-  AUTOVAC_ASSIGN_OR_RETURN(const uint64_t value, JsonFieldUint64(json, key));
-  if (value >= bound) {
-    return Status::InvalidArgument(
-        StrFormat("field '%s' out of range", std::string(key).c_str()));
-  }
-  return value;
-}
-
-}  // namespace
 
 std::string RequestToJson(const Request& request) {
   if (const auto* push = std::get_if<PushRequest>(&request)) {
     if (push->request_id.empty()) {
       return StrFormat("{\"op\":\"push\",\"vaccines\":%s}",
-                       VaccineArrayJson(push->vaccines).c_str());
+                       vaccine::VaccineArrayToJson(push->vaccines).c_str());
     }
     return StrFormat("{\"op\":\"push\",\"request_id\":\"%s\",\"vaccines\":%s}",
                      JsonEscape(push->request_id).c_str(),
-                     VaccineArrayJson(push->vaccines).c_str());
+                     vaccine::VaccineArrayToJson(push->vaccines).c_str());
   }
   if (const auto* query = std::get_if<QueryRequest>(&request)) {
     return StrFormat("{\"op\":\"query\",\"resource\":%d,\"identifier\":\"%s\"}",
@@ -85,7 +45,7 @@ Result<Request> ParseRequest(std::string_view text) {
   if (op == "push") {
     PushRequest request;
     AUTOVAC_ASSIGN_OR_RETURN(request.vaccines,
-                             ParseVaccineArray(json, "vaccines"));
+                             vaccine::VaccineArrayFromJson(json, "vaccines"));
     if (json.Find("request_id") != nullptr) {
       AUTOVAC_ASSIGN_OR_RETURN(request.request_id,
                                JsonFieldString(json, "request_id"));
@@ -96,7 +56,7 @@ Result<Request> ParseRequest(std::string_view text) {
     QueryRequest request;
     AUTOVAC_ASSIGN_OR_RETURN(
         const uint64_t resource,
-        EnumField(json, "resource", os::kNumResourceTypes));
+        JsonFieldEnum(json, "resource", os::kNumResourceTypes));
     request.resource_type = static_cast<os::ResourceType>(resource);
     AUTOVAC_ASSIGN_OR_RETURN(request.identifier,
                              JsonFieldString(json, "identifier"));
@@ -133,7 +93,7 @@ std::string ReplyToJson(const Reply& reply) {
   }
   if (const auto* query = std::get_if<QueryReply>(&reply)) {
     return StrFormat("{\"ok\":true,\"op\":\"query\",\"matches\":%s}",
-                     VaccineArrayJson(query->matches).c_str());
+                     vaccine::VaccineArrayToJson(query->matches).c_str());
   }
   if (const auto* pull = std::get_if<PullReply>(&reply)) {
     std::string items = "[";
@@ -205,7 +165,7 @@ Result<Reply> ParseReply(std::string_view text) {
   if (op == "query") {
     QueryReply reply;
     AUTOVAC_ASSIGN_OR_RETURN(reply.matches,
-                             ParseVaccineArray(json, "matches"));
+                             vaccine::VaccineArrayFromJson(json, "matches"));
     return Reply(std::move(reply));
   }
   if (op == "pull") {

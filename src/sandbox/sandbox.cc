@@ -220,10 +220,6 @@ RunResult RunProgramImpl(const vm::Program& program, os::HostEnvironment& env,
       if (injector != nullptr) {
         snapshot.injector = std::make_unique<FaultInjector>(*injector);
       }
-      if (capture.capture_taint && taint_engine != nullptr) {
-        snapshot.labels = std::make_shared<taint::LabelStore>(*result.labels);
-        snapshot.taint = taint_engine->CaptureState();
-      }
       snapshot.capture_budget = options.cycle_budget;
       SnapshotMetrics& metrics = GetSnapshotMetrics();
       metrics.captures->Increment();
@@ -268,25 +264,13 @@ RunResult ResumeProgram(const vm::Program& program,
                         const ResumeOptions& options,
                         const std::vector<ApiHook>& hooks) {
   RunResult result;
-
-  std::unique_ptr<taint::TaintEngine> taint_engine;
-  if (options.enable_taint && snapshot.taint.has_value() &&
-      snapshot.labels != nullptr) {
-    // Taint continues from the capture point against a private copy of
-    // the capture run's label store (the snapshot's set ids index it).
-    result.labels = std::make_shared<taint::LabelStore>(*snapshot.labels);
-    taint_engine = std::make_unique<taint::TaintEngine>(
-        *result.labels, options.taint_options);
-    taint_engine->RestoreState(*snapshot.taint);
-  } else {
-    result.labels = std::make_shared<taint::LabelStore>();
-  }
+  result.labels = std::make_shared<taint::LabelStore>();
 
   // Private copies of every piece of machine state: resumes never touch
   // the snapshot, so one capture serves any number of (concurrent)
   // mutation re-runs.
   os::HostEnvironment env = snapshot.env;
-  Kernel kernel(env, taint_engine.get(), snapshot.kernel);
+  Kernel kernel(env, /*taint_engine=*/nullptr, snapshot.kernel);
   for (const ApiHook& hook : hooks) kernel.AddHook(hook);
 
   std::unique_ptr<FaultInjector> injector;
@@ -303,9 +287,9 @@ RunResult ResumeProgram(const vm::Program& program,
   cpu.set_api_call_limit(options.limits.max_api_calls);
   cpu.Restore(snapshot.cpu);
 
-  // Resumed runs never record an instruction trace: their consumers
-  // (mutation re-runs) only read the API trace.
-  Instrumentation instrumentation(kernel, taint_engine.get(),
+  // Resumed runs track no taint and never record an instruction trace:
+  // their consumers (mutation re-runs) only read the API trace.
+  Instrumentation instrumentation(kernel, /*taint=*/nullptr,
                                   /*inst_trace=*/nullptr,
                                   /*max_inst_records=*/0);
   instrumentation.set_cpu(&cpu);
@@ -320,7 +304,7 @@ RunResult ResumeProgram(const vm::Program& program,
   snapshot_metrics.prefix_cycles_saved->Increment(snapshot.cpu.cycles_used);
 
   FinishRun(result, cpu, memory, kernel, env, injector.get(),
-            taint_engine.get(), /*capture_cstring_addr=*/0);
+            /*taint_engine=*/nullptr, /*capture_cstring_addr=*/0);
   return result;
 }
 

@@ -8,11 +8,6 @@ size_t MachineSnapshot::ApproxBytes() const {
   bytes += memory.owned_pages() * sizeof(vm::MemoryPage);
   bytes += kernel.trace.calls.size() * sizeof(trace::ApiCallRecord);
   bytes += kernel.shadow_stack.size() * sizeof(uint32_t);
-  if (taint.has_value()) {
-    bytes += taint->map.mem.owned_pages() * vm::kPageBytes *
-             sizeof(taint::LabelSetId);
-    bytes += taint->predicates.size() * sizeof(taint::PredicateEvent);
-  }
   return bytes;
 }
 

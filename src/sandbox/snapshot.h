@@ -25,7 +25,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -35,19 +34,19 @@
 #include "sandbox/faults.h"
 #include "sandbox/kernel.h"
 #include "sandbox/sandbox.h"
-#include "taint/engine.h"
 #include "vm/cpu.h"
 #include "vm/memory.h"
 
 namespace autovac::sandbox {
 
 // Everything needed to resume execution at a resource-API call site as
-// if the program had run there from scratch. Move-only. Guest memory and
-// the taint shadow are copy-on-write pages shared with the capture run
-// (vm/cow_pages.h), so they cost a page table plus the pages the run
-// dirties afterwards; the host environment and the kernel state (trace
-// prefix, shadow stack) are copied. The fault-injection cursor references
-// the capture run's FaultPlan, which must outlive the snapshot.
+// if the program had run there from scratch. Move-only. Guest memory is
+// copy-on-write pages shared with the capture run (vm/cow_pages.h), so it
+// costs a page table plus the pages the run dirties afterwards; the host
+// environment and the kernel state (trace prefix, shadow stack) are
+// copied. The fault-injection cursor references the capture run's
+// FaultPlan, which must outlive the snapshot. No taint state is captured:
+// resumed runs are taint-free, like the full impact re-runs they replace.
 struct MachineSnapshot {
   // HostEnvironment has no default state to construct from; a snapshot
   // starts life as a copy of the capture run's environment.
@@ -67,18 +66,13 @@ struct MachineSnapshot {
   // Fault-injection cursor at the capture point; null when the capture
   // run had no fault plan installed.
   std::unique_ptr<FaultInjector> injector;
-  // Taint-engine state, captured only on request (CaptureOptions): the
-  // predicate log and the label store are copied. `labels` is the label
-  // store copy the state's set ids index into.
-  std::shared_ptr<taint::LabelStore> labels;
-  std::optional<taint::TaintEngineState> taint;
   // Cycle budget of the capturing run; resumes under a different budget
   // must fall back to a full re-run (see file comment).
   uint64_t capture_budget = 0;
 
   // Approximate size: the non-default memory pages it references
-  // (shared copy-on-write, not copied), taint pages when captured, the
-  // trace prefix and the shadow stack.
+  // (shared copy-on-write, not copied), the trace prefix and the shadow
+  // stack.
   [[nodiscard]] size_t ApproxBytes() const;
 };
 
@@ -117,10 +111,6 @@ class SnapshotRecorder {
 };
 
 struct CaptureOptions {
-  // Also capture taint-engine state (a label-store and predicate-log copy
-  // per snapshot). Off for the pipeline fast path, whose resumed runs are
-  // taint-free like the legacy impact re-runs they replace.
-  bool capture_taint = false;
   // Captures only triples whose identifier passes this test; empty
   // captures every triple. The pipeline passes its Phase-II eligibility
   // test, so no snapshot is taken for a triple it will never mutate.
@@ -139,10 +129,6 @@ struct CaptureOptions {
 struct ResumeOptions {
   // Must equal the snapshot's capture_budget for full-run equivalence.
   uint64_t cycle_budget = kOneMinuteBudget;
-  // Resume taint tracking from the snapshot's taint state. Requires a
-  // snapshot captured with CaptureOptions.capture_taint.
-  bool enable_taint = false;
-  taint::TaintEngineOptions taint_options;
   // Execution-envelope caps; use the capture run's values.
   RunLimits limits;
 };
@@ -150,7 +136,8 @@ struct ResumeOptions {
 // Restores `snapshot` onto a private machine copy and resumes execution
 // with `hooks` installed, re-executing the captured call first. The
 // result is full-run equivalent: the API trace starts with the captured
-// prefix records. Resumed runs never record an instruction trace.
+// prefix records. Resumed runs track no taint and never record an
+// instruction trace.
 [[nodiscard]] RunResult ResumeProgram(const vm::Program& program,
                                       const MachineSnapshot& snapshot,
                                       const ResumeOptions& options,

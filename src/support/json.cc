@@ -302,6 +302,19 @@ Result<uint64_t> JsonFieldUint64(const JsonValue& object,
   return field->AsUint64();
 }
 
+Result<uint64_t> JsonFieldEnum(const JsonValue& object, std::string_view key,
+                               uint64_t bound) {
+  AUTOVAC_ASSIGN_OR_RETURN(const uint64_t value,
+                           JsonFieldUint64(object, key));
+  if (value >= bound) {
+    return Status::InvalidArgument(
+        StrFormat("JSON field %s out of range: %llu",
+                  std::string(key).c_str(),
+                  static_cast<unsigned long long>(value)));
+  }
+  return value;
+}
+
 Result<std::string> JsonFieldString(const JsonValue& object,
                                     std::string_view key) {
   AUTOVAC_ASSIGN_OR_RETURN(const JsonValue* field,

@@ -62,6 +62,12 @@ class JsonValue {
 // Convenience over Find + typed accessor, with a keyed error message.
 [[nodiscard]] Result<uint64_t> JsonFieldUint64(const JsonValue& object,
                                                std::string_view key);
+// An enum's underlying value: an unsigned integer below `bound` (the
+// enum's value count), so a hostile value never becomes an out-of-range
+// enum.
+[[nodiscard]] Result<uint64_t> JsonFieldEnum(const JsonValue& object,
+                                             std::string_view key,
+                                             uint64_t bound);
 [[nodiscard]] Result<std::string> JsonFieldString(const JsonValue& object,
                                                   std::string_view key);
 [[nodiscard]] Result<bool> JsonFieldBool(const JsonValue& object,

@@ -35,41 +35,10 @@ struct TaintEngineOptions {
   bool track_control_dependence = false;
 };
 
-// Value copy of a TaintEngine's run state, for machine checkpointing.
-// Pair it with a copy of the LabelStore taken at the same moment: label
-// set ids in here index into that store's tables.
-struct TaintEngineState {
-  TaintMapState map;
-  std::vector<PredicateEvent> predicates;
-  uint64_t propagation_ops = 0;
-  LabelSetId control_label = kEmptySet;
-  uint32_t control_region_start = 0;
-  uint32_t control_region_end = 0;
-};
-
 class TaintEngine {
  public:
   TaintEngine(LabelStore& store, TaintEngineOptions options = {})
       : map_(store), options_(options) {}
-
-  [[nodiscard]] TaintEngineState CaptureState() const {
-    TaintEngineState state;
-    state.map = map_.CaptureState();
-    state.predicates = predicates_;
-    state.propagation_ops = propagation_ops_;
-    state.control_label = control_label_;
-    state.control_region_start = control_region_start_;
-    state.control_region_end = control_region_end_;
-    return state;
-  }
-  void RestoreState(const TaintEngineState& state) {
-    map_.RestoreState(state.map);
-    predicates_ = state.predicates;
-    propagation_ops_ = state.propagation_ops;
-    control_label_ = state.control_label;
-    control_region_start_ = state.control_region_start;
-    control_region_end_ = state.control_region_end;
-  }
 
   // Propagates taint for one retired instruction. Call after the CPU
   // executes the step (register values in `step` are pre-execution).

@@ -1,7 +1,7 @@
 // Shadow state: one LabelSetId per register, per memory byte, and for the
 // flags register. The memory shadow is paged copy-on-write like guest
 // memory (vm::ShadowMemory): untouched pages read kEmptySet without being
-// allocated, and capturing the state copies a page table.
+// allocated, and a copy of the map copies a page table.
 #pragma once
 
 #include <array>
@@ -12,27 +12,9 @@
 
 namespace autovac::taint {
 
-// Value copy of a TaintMap's shadow state (registers, flags, memory) —
-// everything except the label store it interprets against, which is
-// snapshotted separately (LabelStore is itself copyable).
-struct TaintMapState {
-  std::array<LabelSetId, vm::kNumRegs> regs{};
-  LabelSetId flags = kEmptySet;
-  vm::ShadowMemory<LabelSetId> mem;
-};
-
 class TaintMap {
  public:
   explicit TaintMap(LabelStore& store) : store_(store) {}
-
-  [[nodiscard]] TaintMapState CaptureState() const {
-    return {regs_, flags_, mem_};
-  }
-  void RestoreState(const TaintMapState& state) {
-    regs_ = state.regs;
-    flags_ = state.flags;
-    mem_ = state.mem;
-  }
 
   [[nodiscard]] LabelSetId Reg(vm::Reg reg) const {
     return reg == vm::Reg::kNone ? kEmptySet
@@ -53,6 +35,8 @@ class TaintMap {
   [[nodiscard]] LabelSetId Byte(uint32_t addr) const {
     return addr < vm::kMemSize ? mem_.Get(addr) : kEmptySet;
   }
+  // Shadow pages that hold a label (or once did).
+  [[nodiscard]] size_t owned_pages() const { return mem_.owned_pages(); }
 
   [[nodiscard]] LabelStore& store() { return store_; }
 

@@ -1,11 +1,11 @@
-// Trace (de)serialization.
+// API trace text and digest.
 //
-// The paper's differential and determinism analyses run "offline on
-// logged traces" (§IV-C); this module gives traces a stable, line-based
-// text format so Phase-I logs can be stored, shipped to an analysis
-// cluster, and re-parsed. Round-trip is exact for every field the
-// analyses consume. Campaign reports carry no trace text, only an
-// ApiTraceSummary (digest and call count) computed from the same fields.
+// SerializeApiTrace writes a trace as stable, line-based text: the output
+// of `autovac trace`, and the field list SummarizeApiTrace digests.
+// Nothing parses the text back. The determinism and differential analyses
+// read the traces recorded during the run, in memory (§IV-C's "offline"
+// analysis runs after the sample has stopped), and campaign reports carry
+// no trace text, only an ApiTraceSummary (digest and call count).
 #pragma once
 
 #include <cstdint>
@@ -17,13 +17,10 @@
 
 namespace autovac::trace {
 
-// Percent-encoding for identifier/parameter payloads (space-, newline-
-// and %-safe; everything else passes through).
-[[nodiscard]] std::string EncodeField(std::string_view text);
-[[nodiscard]] Result<std::string> DecodeField(std::string_view text);
-
+// One header line, then per call a C record and its S, P, F, D and X
+// lines. String fields are percent-encoded: space, newline, '%' and every
+// byte outside printable ASCII become %XX, and an empty field is "%00".
 [[nodiscard]] std::string SerializeApiTrace(const ApiTrace& trace);
-[[nodiscard]] Result<ApiTrace> ParseApiTrace(std::string_view text);
 
 // What outlives an API trace once the analyses that read it are done: a
 // 128-bit digest over every field SerializeApiTrace writes, plus the call
@@ -52,10 +49,5 @@ struct ApiTraceSummary {
 // MurmurHash3 x64-128 over the trace's fields packed into little-endian
 // 64-bit words, length-prefixed where they vary; no text is formatted.
 [[nodiscard]] ApiTraceSummary SummarizeApiTrace(const ApiTrace& trace);
-
-[[nodiscard]] std::string SerializeInstructionTrace(
-    const InstructionTrace& trace);
-[[nodiscard]] Result<InstructionTrace> ParseInstructionTrace(
-    std::string_view text);
 
 }  // namespace autovac::trace

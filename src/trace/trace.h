@@ -110,8 +110,8 @@ struct ApiTrace {
 };
 
 // One retired instruction plus its dataflow facts; enough to run the
-// backward taint tracking offline, like the paper ("we perform the
-// analysis offline on logged traces").
+// backward taint tracking after the run, on the logged trace, like the
+// paper ("we perform the analysis offline on logged traces").
 struct InstructionRecord {
   vm::StepInfo step;
   // Which API call (sequence number in the ApiTrace) this `sys`

@@ -5,6 +5,7 @@
 #include "support/digest.h"
 #include "support/strings.h"
 #include "vm/cpu.h"
+#include "vm/isa.h"
 
 namespace autovac::vaccine {
 namespace {
@@ -26,18 +27,6 @@ std::string DoubleLiteral(double value) {
   const std::string shorter = StrFormat("%.15g", value);
   if (std::strtod(shorter.c_str(), nullptr) == value) return shorter;
   return out;
-}
-
-Result<uint64_t> EnumField(const JsonValue& json, std::string_view key,
-                           size_t limit) {
-  AUTOVAC_ASSIGN_OR_RETURN(const uint64_t value,
-                           JsonFieldUint64(json, key));
-  if (value >= limit) {
-    return Status::InvalidArgument(
-        StrFormat("%s out of range: %llu", std::string(key).c_str(),
-                  static_cast<unsigned long long>(value)));
-  }
-  return value;
 }
 
 std::string SliceToJson(const analysis::VaccineSlice& slice) {
@@ -100,6 +89,14 @@ Result<analysis::VaccineSlice> SliceFromJson(const JsonValue& json) {
                              inst_json.array[2].AsInt64());
     AUTOVAC_ASSIGN_OR_RETURN(const int64_t imm,
                              inst_json.array[3].AsInt64());
+    // The daemon replays slices on end hosts, so a slice is untrusted
+    // code: its operands pass the VM's own decoder check.
+    if (!vm::ValidOperands(op, r1, r2)) {
+      return Status::InvalidArgument(StrFormat(
+          "slice instruction %zu has invalid operands: [%lld,%lld,%lld]",
+          slice.program.code.size(), static_cast<long long>(op),
+          static_cast<long long>(r1), static_cast<long long>(r2)));
+    }
     slice.program.code.push_back({static_cast<vm::Op>(op),
                                   static_cast<vm::Reg>(r1),
                                   static_cast<vm::Reg>(r2), imm});
@@ -150,7 +147,7 @@ Status StatusFromJson(const JsonValue& json, Status* out) {
     return Status::InvalidArgument("status is not an object");
   }
   AUTOVAC_ASSIGN_OR_RETURN(const uint64_t code,
-                           EnumField(json, "code", kNumStatusCodes));
+                           JsonFieldEnum(json, "code", kNumStatusCodes));
   if (code == 0) {
     *out = Status::Ok();
     return Status::Ok();
@@ -200,10 +197,10 @@ Result<Vaccine> VaccineFromJson(const JsonValue& json) {
                            JsonFieldString(json, "malware_digest"));
   AUTOVAC_ASSIGN_OR_RETURN(
       const uint64_t resource_type,
-      EnumField(json, "resource_type", os::kNumResourceTypes));
+      JsonFieldEnum(json, "resource_type", os::kNumResourceTypes));
   vaccine.resource_type = static_cast<os::ResourceType>(resource_type);
   AUTOVAC_ASSIGN_OR_RETURN(const uint64_t operation,
-                           EnumField(json, "operation", os::kNumOperations));
+                           JsonFieldEnum(json, "operation", os::kNumOperations));
   vaccine.operation = static_cast<os::Operation>(operation);
   AUTOVAC_ASSIGN_OR_RETURN(vaccine.identifier,
                            JsonFieldString(json, "identifier"));
@@ -211,11 +208,11 @@ Result<Vaccine> VaccineFromJson(const JsonValue& json) {
                            JsonFieldBool(json, "simulate_presence"));
   AUTOVAC_ASSIGN_OR_RETURN(
       const uint64_t kind,
-      EnumField(json, "identifier_kind", kNumIdentifierClasses));
+      JsonFieldEnum(json, "identifier_kind", kNumIdentifierClasses));
   vaccine.identifier_kind = static_cast<analysis::IdentifierClass>(kind);
   AUTOVAC_ASSIGN_OR_RETURN(
       const uint64_t immunization,
-      EnumField(json, "immunization",
+      JsonFieldEnum(json, "immunization",
                 static_cast<size_t>(
                     analysis::ImmunizationType::kTypeIVProcessInjection) +
                     1));
@@ -223,7 +220,7 @@ Result<Vaccine> VaccineFromJson(const JsonValue& json) {
       static_cast<analysis::ImmunizationType>(immunization);
   AUTOVAC_ASSIGN_OR_RETURN(
       const uint64_t delivery,
-      EnumField(json, "delivery",
+      JsonFieldEnum(json, "delivery",
                 static_cast<size_t>(DeliveryMethod::kDaemon) + 1));
   vaccine.delivery = static_cast<DeliveryMethod>(delivery);
   AUTOVAC_ASSIGN_OR_RETURN(const std::string pattern_text,
@@ -243,6 +240,32 @@ Result<Vaccine> VaccineFromJson(const JsonValue& json) {
     AUTOVAC_ASSIGN_OR_RETURN(vaccine.slice, SliceFromJson(*slice));
   }
   return vaccine;
+}
+
+std::string VaccineArrayToJson(const std::vector<Vaccine>& vaccines) {
+  std::string out = "[";
+  for (size_t i = 0; i < vaccines.size(); ++i) {
+    if (i > 0) out += ",";
+    out += VaccineToJson(vaccines[i]);
+  }
+  out += "]";
+  return out;
+}
+
+Result<std::vector<Vaccine>> VaccineArrayFromJson(const JsonValue& object,
+                                                  std::string_view key) {
+  const JsonValue* array = object.Find(key);
+  if (array == nullptr || !array->is_array()) {
+    return Status::InvalidArgument(
+        StrFormat("missing vaccine array '%s'", std::string(key).c_str()));
+  }
+  std::vector<Vaccine> vaccines;
+  vaccines.reserve(array->array.size());
+  for (const JsonValue& element : array->array) {
+    AUTOVAC_ASSIGN_OR_RETURN(Vaccine vaccine, VaccineFromJson(element));
+    vaccines.push_back(std::move(vaccine));
+  }
+  return vaccines;
 }
 
 std::string VaccineDigest(const Vaccine& vaccine) {
@@ -272,14 +295,10 @@ std::string SampleReportToJson(const SampleReport& report) {
       report.filtered_no_impact, report.filtered_non_deterministic,
       report.impact_retries, report.targets_faulted,
       report.vaccines_demoted, report.faults_injected);
-  out += ",\"vaccines\":[";
-  for (size_t i = 0; i < report.vaccines.size(); ++i) {
-    if (i > 0) out += ",";
-    out += VaccineToJson(report.vaccines[i]);
-  }
+  out += ",\"vaccines\":" + VaccineArrayToJson(report.vaccines);
   // wall_ns is deliberately omitted: the journal and worker protocol
   // carry only deterministic fields (see src/support/tracing.h).
-  out += "],\"phase_costs\":[";
+  out += ",\"phase_costs\":[";
   for (size_t i = 0; i < report.phase_costs.size(); ++i) {
     const PhaseTotal& cost = report.phase_costs[i];
     if (i > 0) out += ",";
@@ -308,7 +327,7 @@ Result<SampleReport> SampleReportFromJson(const JsonValue& json) {
                            JsonFieldString(json, "evasion_class"));
   AUTOVAC_ASSIGN_OR_RETURN(
       const uint64_t disposition,
-      EnumField(json, "disposition", kNumDispositions));
+      JsonFieldEnum(json, "disposition", kNumDispositions));
   report.disposition = static_cast<SampleDisposition>(disposition);
   AUTOVAC_ASSIGN_OR_RETURN(
       report.resource_api_occurrences,
@@ -319,7 +338,7 @@ Result<SampleReport> SampleReportFromJson(const JsonValue& json) {
                            JsonFieldBool(json, "resource_sensitive"));
   AUTOVAC_ASSIGN_OR_RETURN(
       const uint64_t stop,
-      EnumField(json, "phase1_stop", vm::kNumStopReasons));
+      JsonFieldEnum(json, "phase1_stop", vm::kNumStopReasons));
   report.phase1_stop = static_cast<vm::StopReason>(stop);
 
   const JsonValue* phase1 = json.Find("phase1_status");
@@ -348,15 +367,8 @@ Result<SampleReport> SampleReportFromJson(const JsonValue& json) {
   AUTOVAC_ASSIGN_OR_RETURN(report.faults_injected,
                            JsonFieldUint64(json, "faults_injected"));
 
-  const JsonValue* vaccines = json.Find("vaccines");
-  if (vaccines == nullptr || !vaccines->is_array()) {
-    return Status::InvalidArgument("missing vaccines array");
-  }
-  for (const JsonValue& vaccine_json : vaccines->array) {
-    AUTOVAC_ASSIGN_OR_RETURN(Vaccine vaccine,
-                             VaccineFromJson(vaccine_json));
-    report.vaccines.push_back(std::move(vaccine));
-  }
+  AUTOVAC_ASSIGN_OR_RETURN(report.vaccines,
+                           VaccineArrayFromJson(json, "vaccines"));
 
   const JsonValue* costs = json.Find("phase_costs");
   if (costs == nullptr || !costs->is_array()) {

@@ -1,5 +1,5 @@
-// JSON (de)serialization for analysis outcomes: Status, Vaccine,
-// SampleReport and CampaignReport.
+// JSON (de)serialization for analysis outcomes: Status, Vaccine, vaccine
+// lists, SampleReport and CampaignReport.
 //
 // This is the wire format of the durable-campaign layer — the write-ahead
 // journal stores one SampleReport per line, and forked campaign workers
@@ -11,10 +11,15 @@
 // not serialized and parse back as zero. The natural API trace travels
 // as its summary (trace/serialize.h: digest and call count), about 70
 // bytes in a report of about 1 KB.
+//
+// VaccineToJson is the one encoding of a vaccine: reports, packages
+// (vaccine/package.h), the vacd wire, the store and VaccineDigest all
+// carry it, so a vaccine has one digest wherever it travels.
 #pragma once
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "support/json.h"
 #include "support/status.h"
@@ -29,6 +34,13 @@ namespace autovac::vaccine {
 
 [[nodiscard]] std::string VaccineToJson(const Vaccine& vaccine);
 [[nodiscard]] Result<Vaccine> VaccineFromJson(const JsonValue& json);
+
+// A JSON array of VaccineToJson elements, and its reader for the
+// array-valued field `key` of `object`.
+[[nodiscard]] std::string VaccineArrayToJson(
+    const std::vector<Vaccine>& vaccines);
+[[nodiscard]] Result<std::vector<Vaccine>> VaccineArrayFromJson(
+    const JsonValue& object, std::string_view key);
 
 // Content address of a vaccine: the digest of its canonical JSON
 // serialization. Two vaccines with the same digest are byte-identical on

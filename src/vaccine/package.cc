@@ -1,202 +1,44 @@
 #include "vaccine/package.h"
 
+#include "support/json.h"
 #include "support/strings.h"
-#include "trace/serialize.h"
+#include "vaccine/json.h"
 
 namespace autovac::vaccine {
 namespace {
 
-using trace::DecodeField;
-using trace::EncodeField;
-
-bool ParseU32(const std::string& token, uint32_t* out) {
-  uint64_t value = 0;
-  if (!ParseUint64(token, &value) || value > UINT32_MAX) return false;
-  *out = static_cast<uint32_t>(value);
-  return true;
-}
-
-std::string HexBytes(std::string_view bytes) {
-  std::string out;
-  out.reserve(bytes.size() * 2);
-  for (char c : bytes) {
-    out += StrFormat("%02x", static_cast<unsigned char>(c));
-  }
-  return out;
-}
-
-Result<std::string> UnhexBytes(std::string_view hex) {
-  if (hex.size() % 2 != 0) return Status::InvalidArgument("odd hex length");
-  auto digit = [](char c) -> int {
-    if (c >= '0' && c <= '9') return c - '0';
-    if (c >= 'a' && c <= 'f') return c - 'a' + 10;
-    return -1;
-  };
-  std::string out;
-  out.reserve(hex.size() / 2);
-  for (size_t i = 0; i < hex.size(); i += 2) {
-    const int hi = digit(hex[i]);
-    const int lo = digit(hex[i + 1]);
-    if (hi < 0 || lo < 0) return Status::InvalidArgument("bad hex");
-    out.push_back(static_cast<char>(hi * 16 + lo));
-  }
-  return out;
-}
+constexpr uint64_t kPackageVersion = 2;
 
 }  // namespace
 
 std::string SerializePackage(const std::vector<Vaccine>& vaccines) {
-  std::string out = StrFormat("VACCINEPKG v1 %zu\n", vaccines.size());
-  for (const Vaccine& v : vaccines) {
-    out += StrFormat(
-        "V %s %s %d %d %d %d %d %d %s %s %.6f %s\n",
-        EncodeField(v.malware_name).c_str(),
-        EncodeField(v.malware_digest).c_str(),
-        static_cast<int>(v.resource_type), static_cast<int>(v.operation),
-        v.simulate_presence ? 1 : 0, static_cast<int>(v.identifier_kind),
-        static_cast<int>(v.immunization), static_cast<int>(v.delivery),
-        EncodeField(v.identifier).c_str(),
-        EncodeField(v.pattern.text()).c_str(), v.behavior_decreasing_ratio,
-        EncodeField(v.OperationSymbols()).c_str());
-    if (v.slice.has_value()) {
-      const analysis::VaccineSlice& slice = *v.slice;
-      out += StrFormat("SLICE %zu %zu %u %u\n", slice.program.code.size(),
-                       slice.program.data.size(), slice.output_addr,
-                       slice.output_len);
-      for (const vm::Instruction& inst : slice.program.code) {
-        out += StrFormat("I %d %d %d %lld\n", static_cast<int>(inst.op),
-                         static_cast<int>(inst.r1),
-                         static_cast<int>(inst.r2),
-                         static_cast<long long>(inst.imm));
-      }
-      for (const vm::DataBlob& blob : slice.program.data) {
-        out += StrFormat("B %u %s\n", blob.address,
-                         HexBytes(blob.bytes).c_str());
-      }
-    }
-  }
-  return out;
+  return StrFormat("{\"type\":\"vaccine-package\",\"version\":%llu,"
+                   "\"vaccines\":",
+                   static_cast<unsigned long long>(kPackageVersion)) +
+         VaccineArrayToJson(vaccines) + "}\n";
 }
 
 Result<std::vector<Vaccine>> ParsePackage(std::string_view text) {
-  std::vector<Vaccine> vaccines;
-  bool saw_header = false;
-  size_t pos = 0;
-  size_t pending_code = 0;
-  size_t pending_data = 0;
-
-  while (pos <= text.size()) {
-    const size_t eol = text.find('\n', pos);
-    std::string_view line =
-        text.substr(pos, eol == std::string_view::npos
-                             ? std::string_view::npos
-                             : eol - pos);
-    pos = eol == std::string_view::npos ? text.size() + 1 : eol + 1;
-    if (line.empty()) continue;
-    auto tokens = StrSplit(line, " \t");
-
-    if (!saw_header) {
-      if (tokens.size() < 3 || tokens[0] != "VACCINEPKG" ||
-          tokens[1] != "v1") {
-        return Status::InvalidArgument("bad VACCINEPKG header");
-      }
-      saw_header = true;
-      continue;
-    }
-
-    if (tokens[0] == "V") {
-      if (tokens.size() != 13) {
-        return Status::InvalidArgument("bad V record");
-      }
-      Vaccine v;
-      auto name = DecodeField(tokens[1]);
-      auto digest = DecodeField(tokens[2]);
-      auto identifier = DecodeField(tokens[9]);
-      auto pattern_text = DecodeField(tokens[10]);
-      auto opsyms = DecodeField(tokens[12]);
-      if (!name.ok() || !digest.ok() || !identifier.ok() ||
-          !pattern_text.ok() || !opsyms.ok()) {
-        return Status::InvalidArgument("bad V strings");
-      }
-      uint32_t fields[6];
-      for (int i = 0; i < 6; ++i) {
-        if (!ParseU32(tokens[3 + i], &fields[i])) {
-          return Status::InvalidArgument("bad V numeric field");
-        }
-      }
-      v.malware_name = name.value();
-      v.malware_digest = digest.value();
-      v.resource_type = static_cast<os::ResourceType>(fields[0]);
-      v.operation = static_cast<os::Operation>(fields[1]);
-      v.simulate_presence = fields[2] != 0;
-      v.identifier_kind = static_cast<analysis::IdentifierClass>(fields[3]);
-      v.immunization = static_cast<analysis::ImmunizationType>(fields[4]);
-      v.delivery = static_cast<DeliveryMethod>(fields[5]);
-      v.identifier = identifier.value();
-      AUTOVAC_ASSIGN_OR_RETURN(v.pattern,
-                               Pattern::Compile(pattern_text.value()));
-      v.behavior_decreasing_ratio = std::atof(tokens[11].c_str());
-      for (char c : opsyms.value()) v.observed_operations.insert(c);
-      vaccines.push_back(std::move(v));
-      pending_code = 0;
-      pending_data = 0;
-      continue;
-    }
-    if (vaccines.empty()) {
-      return Status::InvalidArgument("record before first vaccine");
-    }
-    Vaccine& current = vaccines.back();
-
-    if (tokens[0] == "SLICE") {
-      if (tokens.size() != 5) return Status::InvalidArgument("bad SLICE");
-      uint32_t counts[4];
-      for (int i = 0; i < 4; ++i) {
-        if (!ParseU32(tokens[1 + i], &counts[i])) {
-          return Status::InvalidArgument("bad SLICE field");
-        }
-      }
-      analysis::VaccineSlice slice;
-      slice.program.name = current.malware_name + "_slice";
-      slice.output_addr = counts[2];
-      slice.output_len = counts[3];
-      current.slice = std::move(slice);
-      pending_code = counts[0];
-      pending_data = counts[1];
-    } else if (tokens[0] == "I") {
-      if (!current.slice.has_value() || pending_code == 0) {
-        return Status::InvalidArgument("I record outside slice");
-      }
-      if (tokens.size() != 5) return Status::InvalidArgument("bad I record");
-      uint32_t op = 0;
-      int64_t r1 = 0;
-      int64_t r2 = 0;
-      int64_t imm = 0;
-      if (!ParseU32(tokens[1], &op) || !ParseInt64(tokens[2], &r1) ||
-          !ParseInt64(tokens[3], &r2) || !ParseInt64(tokens[4], &imm)) {
-        return Status::InvalidArgument("bad I fields");
-      }
-      current.slice->program.code.push_back(
-          {static_cast<vm::Op>(op), static_cast<vm::Reg>(r1),
-           static_cast<vm::Reg>(r2), imm});
-      --pending_code;
-    } else if (tokens[0] == "B") {
-      if (!current.slice.has_value() || pending_data == 0) {
-        return Status::InvalidArgument("B record outside slice");
-      }
-      if (tokens.size() != 3) return Status::InvalidArgument("bad B record");
-      vm::DataBlob blob;
-      if (!ParseU32(tokens[1], &blob.address)) {
-        return Status::InvalidArgument("bad B address");
-      }
-      AUTOVAC_ASSIGN_OR_RETURN(blob.bytes, UnhexBytes(tokens[2]));
-      current.slice->program.data.push_back(std::move(blob));
-      --pending_data;
-    } else {
-      return Status::InvalidArgument("unknown record: " + std::string(line));
-    }
+  if (text.starts_with("VACCINEPKG")) {
+    return Status::InvalidArgument(
+        "a VACCINEPKG v1 package, a retired line format: re-create it "
+        "with analyze --package, which writes JSON packages (version 2)");
   }
-  if (!saw_header) return Status::InvalidArgument("empty package");
-  return vaccines;
+  AUTOVAC_ASSIGN_OR_RETURN(const JsonValue json, ParseJson(text));
+  AUTOVAC_ASSIGN_OR_RETURN(const std::string type,
+                           JsonFieldString(json, "type"));
+  if (type != "vaccine-package") {
+    return Status::InvalidArgument(
+        StrFormat("not a vaccine package: type '%s'", type.c_str()));
+  }
+  AUTOVAC_ASSIGN_OR_RETURN(const uint64_t version,
+                           JsonFieldUint64(json, "version"));
+  if (version != kPackageVersion) {
+    return Status::InvalidArgument(
+        StrFormat("unsupported package version %llu",
+                  static_cast<unsigned long long>(version)));
+  }
+  return VaccineArrayFromJson(json, "vaccines");
 }
 
 }  // namespace autovac::vaccine

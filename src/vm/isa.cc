@@ -126,12 +126,19 @@ const OpInfo& GetOpInfo(Op op) {
 
 namespace {
 
-bool ValidRegByte(uint8_t byte) {
-  return byte < static_cast<uint8_t>(Reg::kRegCount) ||
-         byte == static_cast<uint8_t>(Reg::kNone);
+bool ValidRegister(int64_t reg) {
+  return (reg >= 0 && reg < static_cast<int64_t>(Reg::kRegCount)) ||
+         reg == static_cast<int64_t>(Reg::kNone);
 }
 
 }  // namespace
+
+bool ValidOperands(int64_t op, int64_t r1, int64_t r2) {
+  if (op < 0 || op >= static_cast<int64_t>(Op::kOpCount)) return false;
+  if (!ValidRegister(r1) || !ValidRegister(r2)) return false;
+  return r1 != static_cast<int64_t>(Reg::kNone) ||
+         !GetOpInfo(static_cast<Op>(op)).writes_r1;
+}
 
 std::array<uint8_t, kEncodedInstrSize> EncodeInstruction(
     const Instruction& inst) {
@@ -149,9 +156,9 @@ std::array<uint8_t, kEncodedInstrSize> EncodeInstruction(
 }
 
 bool DecodeInstruction(const uint8_t* bytes, Instruction* out) {
-  if (bytes[0] >= static_cast<uint8_t>(Op::kOpCount)) return false;
-  if (!ValidRegByte(bytes[1]) || !ValidRegByte(bytes[2])) return false;
-  if (bytes[3] != 0) return false;
+  if (!ValidOperands(bytes[0], bytes[1], bytes[2]) || bytes[3] != 0) {
+    return false;
+  }
   const uint32_t imm = static_cast<uint32_t>(bytes[4]) |
                        (static_cast<uint32_t>(bytes[5]) << 8) |
                        (static_cast<uint32_t>(bytes[6]) << 16) |

@@ -98,7 +98,7 @@ struct OpInfo {
 // counter points above the static code segment:
 //
 //   byte 0   opcode          (must be < kOpCount)
-//   byte 1   r1              (0..7 or 255 = kNone)
+//   byte 1   r1              (0..7 or 255 = kNone; see ValidOperands)
 //   byte 2   r2              (0..7 or 255 = kNone)
 //   byte 3   reserved, 0
 //   bytes 4-7  imm32, little-endian, sign-extended on decode
@@ -111,8 +111,14 @@ inline constexpr uint32_t kEncodedInstrSize = 8;
 [[nodiscard]] std::array<uint8_t, kEncodedInstrSize> EncodeInstruction(
     const Instruction& inst);
 
+// The operand check of every decoder of untrusted instructions (the
+// encoding below, and vaccine slices read from JSON): `op` is an opcode,
+// `r1` and `r2` each name a register or kNone, and r1 is not kNone when
+// the opcode writes it (the CPU would store past its register file).
+[[nodiscard]] bool ValidOperands(int64_t op, int64_t r1, int64_t r2);
+
 // Returns false (leaving `out` untouched) when the bytes are not a valid
-// encoding: bad opcode, bad register byte, or nonzero reserved byte.
+// encoding: operands that fail ValidOperands, or a nonzero reserved byte.
 [[nodiscard]] bool DecodeInstruction(const uint8_t* bytes, Instruction* out);
 
 }  // namespace autovac::vm

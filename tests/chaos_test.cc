@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "campaign/supervisor.h"
 #include "malware/corpus.h"
@@ -21,6 +22,7 @@
 #include "sandbox/faults.h"
 #include "sandbox/sandbox.h"
 #include "support/metrics.h"
+#include "support/strings.h"
 #include "support/tracing.h"
 #include "trace/serialize.h"
 #include "vaccine/json.h"
@@ -623,6 +625,8 @@ main:
 // Serialization
 // ---------------------------------------------------------------------
 
+// The envelope's stop reasons reach the trace header, and a report's
+// phase1_stop reads them back.
 TEST(Serialization, NewStopReasonsRoundTrip) {
   for (const vm::StopReason reason :
        {vm::StopReason::kCallDepthLimit, vm::StopReason::kApiCallLimit,
@@ -630,15 +634,21 @@ TEST(Serialization, NewStopReasonsRoundTrip) {
     trace::ApiTrace trace;
     trace.stop_reason = reason;
     trace.cycles_used = 12345;
-    auto parsed = trace::ParseApiTrace(trace::SerializeApiTrace(trace));
+    EXPECT_EQ(
+        trace::SerializeApiTrace(trace),
+        StrFormat("APITRACE v1 0 %d 12345\n", static_cast<int>(reason)));
+    vaccine::SampleReport report;
+    report.phase1_stop = reason;
+    auto parsed =
+        vaccine::ParseSampleReportJson(vaccine::SampleReportToJson(report));
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-    EXPECT_EQ(parsed->stop_reason, reason);
+    EXPECT_EQ(parsed->phase1_stop, reason);
     // The name table covers the new reasons too.
     EXPECT_STRNE(vm::StopReasonName(reason), "unknown");
   }
 }
 
-TEST(Serialization, FaultInjectedFlagRoundTrips) {
+TEST(Serialization, FaultInjectedFlagIsRecordedAndSerialized) {
   auto program = AssembleForSandbox(kThreeOpens);
   ASSERT_TRUE(program.ok()) << program.status().ToString();
 
@@ -653,37 +663,20 @@ TEST(Serialization, FaultInjectedFlagRoundTrips) {
   RunOptions options;
   options.fault_plan = &plan;
   auto run = RunProgram(program.value(), env, options);
+  ASSERT_EQ(run.api_trace.calls.size(), 3u);
+  EXPECT_TRUE(run.api_trace.calls[0].fault_injected);
+  EXPECT_FALSE(run.api_trace.calls[1].fault_injected);
+  EXPECT_FALSE(run.api_trace.calls[2].fault_injected);
 
-  const std::string text = trace::SerializeApiTrace(run.api_trace);
-  auto parsed = trace::ParseApiTrace(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->calls.size(), run.api_trace.calls.size());
-  for (size_t i = 0; i < parsed->calls.size(); ++i) {
-    EXPECT_EQ(parsed->calls[i].fault_injected,
-              run.api_trace.calls[i].fault_injected) << i;
-  }
-  EXPECT_TRUE(parsed->calls[0].fault_injected);
-
-  // Legacy 16-token C records (written before the flag existed) still
-  // parse, defaulting the flag to false.
-  std::string legacy;
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    std::string line = text.substr(pos, eol - pos);
+  // The flag is the last field of each call's C record.
+  std::vector<std::string> flags;
+  for (const std::string& line :
+       StrSplit(trace::SerializeApiTrace(run.api_trace), "\n")) {
     if (line.rfind("C ", 0) == 0) {
-      line = line.substr(0, line.find_last_of(' '));
+      flags.push_back(line.substr(line.find_last_of(' ') + 1));
     }
-    legacy += line + "\n";
-    pos = eol + 1;
   }
-  auto legacy_parsed = trace::ParseApiTrace(legacy);
-  ASSERT_TRUE(legacy_parsed.ok()) << legacy_parsed.status().ToString();
-  ASSERT_EQ(legacy_parsed->calls.size(), run.api_trace.calls.size());
-  for (const auto& call : legacy_parsed->calls) {
-    EXPECT_FALSE(call.fault_injected);
-  }
+  EXPECT_EQ(flags, (std::vector<std::string>{"1", "0", "0"}));
 }
 
 // ---------------------------------------------------------------------

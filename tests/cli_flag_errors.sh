@@ -43,6 +43,8 @@ refused --binary push --socket s --binary p.pkg
 refused --binary quarantine --socket s --binary d
 refused --fault-rate analyze x.asm --fault-rate 0.1
 refused --stop-after campaign x.asm --stop-after 1
+refused --resume campaign x.asm --resume
+refused --resume coordinate --socket s --resume x.asm
 refused --seed corpus --out d --seed 0x10
 refused --tcp serve --socket s --tcp 127.0.0.1:99999
 exit $failed

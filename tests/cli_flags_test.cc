@@ -300,6 +300,8 @@ TEST(CliFlags, RefusedInvocationsNameTheFlag) {
       {{"analyze", "x.asm", "--fault-rate", "0.1"}, "--fault-rate"},
       {{"campaign", "x.asm", "--fault-rate", "0.1"}, "--fault-rate"},
       {{"campaign", "x.asm", "--stop-after", "1"}, "--stop-after"},
+      {{"campaign", "x.asm", "--resume"}, "--resume"},
+      {{"coordinate", "--socket", "s", "--resume", "x.asm"}, "--resume"},
       {{"serve", "--socket", "s", "--rate-rps", "-1"}, "--rate-rps"},
       {{"corpus", "--out", "d", "--seed", "0x10"}, "--seed"},
   };

@@ -16,6 +16,7 @@
 #include "sandbox/sandbox.h"
 #include "support/json.h"
 #include "support/status.h"
+#include "support/strings.h"
 #include "vaccine/json.h"
 #include "vaccine/pipeline.h"
 
@@ -230,6 +231,39 @@ TEST(ReportJson, RejectsOutOfRangeEnums) {
   };
   swap("\"disposition\":0", "\"disposition\":250");
   swap("\"phase1_stop\":0", "\"phase1_stop\":99");
+}
+
+// A slice is code the daemon replays on end hosts: its instructions pass
+// the VM decoder's operand check, so one that names no register (or
+// writes kNone) is refused, not run.
+TEST(VaccineJson, RefusesSliceOperandsThatNameNoRegister) {
+  vaccine::Vaccine vaccine;
+  vaccine.malware_name = "sliced";
+  analysis::VaccineSlice slice;
+  slice.program.name = "slice";
+  slice.program.code = {{vm::Op::kMovRI, vm::Reg::kEax, vm::Reg::kNone, 7},
+                        {vm::Op::kHlt, vm::Reg::kNone, vm::Reg::kNone, 0}};
+  vaccine.slice = slice;
+  const std::string json = vaccine::VaccineToJson(vaccine);
+  const std::string mov = "[2,0,255,7]";
+  ASSERT_NE(json.find(mov), std::string::npos) << json;
+  auto parsed = ParseJson(json);
+  ASSERT_TRUE(parsed.ok());
+  ASSERT_TRUE(vaccine::VaccineFromJson(*parsed).ok());
+
+  for (const std::string& bad :
+       {std::string("[2,200,255,7]"), std::string("[2,255,255,7]"),
+        std::string("[2,0,8,7]"), std::string("[2,256,255,7]"),
+        std::string("[2,-1,255,7]"), std::string("[-1,0,255,7]"),
+        StrFormat("[%d,0,255,7]", static_cast<int>(vm::Op::kOpCount))}) {
+    std::string mutated = json;
+    mutated.replace(mutated.find(mov), mov.size(), bad);
+    auto value = ParseJson(mutated);
+    ASSERT_TRUE(value.ok()) << mutated;
+    auto refused = vaccine::VaccineFromJson(*value);
+    ASSERT_FALSE(refused.ok()) << bad;
+    EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument) << bad;
+  }
 }
 
 TEST(CampaignJson, AggregatesMatchReports) {

@@ -4,7 +4,6 @@
 
 #include "analysis/alignment.h"
 #include "malware/corpus.h"
-#include "trace/serialize.h"
 #include "vaccine/delivery.h"
 #include "vaccine/pipeline.h"
 
@@ -74,28 +73,6 @@ TEST_P(CorpusProperties, IdenticalSnapshotsReplayIdentically) {
                 b.api_trace.calls[i].resource_identifier);
       EXPECT_EQ(a.api_trace.calls[i].succeeded,
                 b.api_trace.calls[i].succeeded);
-    }
-  }
-}
-
-// Serialization: API traces of arbitrary samples round-trip exactly.
-TEST_P(CorpusProperties, ApiTracesRoundTrip) {
-  for (const auto& sample : SmallCorpus(GetParam())) {
-    os::HostEnvironment env = os::HostEnvironment::StandardMachine();
-    sandbox::RunOptions options;
-    options.enable_taint = false;
-    auto run = sandbox::RunProgram(sample.program, env, options);
-    auto parsed =
-        trace::ParseApiTrace(trace::SerializeApiTrace(run.api_trace));
-    ASSERT_TRUE(parsed.ok()) << sample.program.name;
-    ASSERT_EQ(parsed->calls.size(), run.api_trace.calls.size());
-    for (size_t i = 0; i < parsed->calls.size(); ++i) {
-      EXPECT_EQ(parsed->calls[i].api_name,
-                run.api_trace.calls[i].api_name);
-      EXPECT_EQ(parsed->calls[i].resource_identifier,
-                run.api_trace.calls[i].resource_identifier);
-      EXPECT_EQ(parsed->calls[i].flows.size(),
-                run.api_trace.calls[i].flows.size());
     }
   }
 }

@@ -1,15 +1,18 @@
-// Round-trip tests for the trace and vaccine-package serializers,
-// including the property that a parsed instruction trace feeds the
-// determinism analysis identically to the live one, and that a parsed
-// vaccine slice still replays.
+// The API trace text (its escaping), the trace digest, and vaccine
+// packages: a package round-trips byte for byte, keeps every vaccine's
+// digest, refuses what is not a version-2 package, and a parsed slice
+// still replays.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <filesystem>
+#include <fstream>
 #include <functional>
+#include <sstream>
 #include <string>
 #include <vector>
 
-#include "analysis/determinism.h"
 #include "malware/families.h"
 #include "sandbox/sandbox.h"
 #include "support/strings.h"
@@ -22,91 +25,48 @@
 namespace autovac {
 namespace {
 
-// ---- field encoding ------------------------------------------------------
+// ---- trace text ------------------------------------------------------------
 
-TEST(FieldEncoding, RoundTripsArbitraryBytes) {
+// The lines of the text of a one-call trace whose string fields all hold
+// `text`: the header, the C record and the P record.
+std::vector<std::string> OneCallTraceLines(const std::string& text) {
+  trace::ApiCallRecord call;
+  call.api_name = text;
+  call.resource_identifier = text;
+  call.params = {text};
+  trace::ApiTrace trace;
+  trace.calls.push_back(call);
+  return StrSplit(trace::SerializeApiTrace(trace), "\n");
+}
+
+TEST(FieldEncoding, EscapesSeparatorsAndNonPrintableBytes) {
   const std::string nasty("a b%\\\n\x01\x7F\xFF mutex", 16);
-  auto decoded = trace::DecodeField(trace::EncodeField(nasty));
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), nasty);
+  const std::string encoded = "a%20b%25\\%0A%01%7F%FF%20mutex%00";
+  const std::vector<std::string> lines = OneCallTraceLines(nasty);
+  ASSERT_EQ(lines.size(), 3u);
+  const std::vector<std::string> record = StrSplit(lines[1], " ");
+  ASSERT_EQ(record.size(), 17u) << lines[1];
+  EXPECT_EQ(record[0], "C");
+  EXPECT_EQ(record[2], encoded);   // api_name
+  EXPECT_EQ(record[11], encoded);  // resource_identifier
+  EXPECT_EQ(lines[2], "P " + encoded);
 }
 
 TEST(FieldEncoding, EmptyField) {
-  EXPECT_EQ(trace::EncodeField(""), "%00");
-  auto decoded = trace::DecodeField("%00");
-  ASSERT_TRUE(decoded.ok());
-  EXPECT_EQ(decoded.value(), "");
+  const std::vector<std::string> lines = OneCallTraceLines("");
+  ASSERT_EQ(lines.size(), 3u);
+  const std::vector<std::string> record = StrSplit(lines[1], " ");
+  ASSERT_EQ(record.size(), 17u) << lines[1];
+  EXPECT_EQ(record[2], "%00");
+  EXPECT_EQ(record[11], "%00");
+  EXPECT_EQ(lines[2], "P %00");
 }
-
-TEST(FieldEncoding, RejectsMalformedEscapes) {
-  EXPECT_FALSE(trace::DecodeField("abc%G1").ok());
-  EXPECT_FALSE(trace::DecodeField("abc%2").ok());
-}
-
-// ---- trace round trips ------------------------------------------------------
 
 sandbox::RunResult RunZeus() {
   auto program = malware::BuildZeus({});
   AUTOVAC_CHECK(program.ok());
   os::HostEnvironment env = os::HostEnvironment::StandardMachine();
-  sandbox::RunOptions options;
-  options.record_instructions = true;
-  return sandbox::RunProgram(program.value(), env, options);
-}
-
-TEST(ApiTraceSerialize, ExactRoundTrip) {
-  auto run = RunZeus();
-  const std::string text = trace::SerializeApiTrace(run.api_trace);
-  auto parsed = trace::ParseApiTrace(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-
-  ASSERT_EQ(parsed->calls.size(), run.api_trace.calls.size());
-  EXPECT_EQ(parsed->stop_reason, run.api_trace.stop_reason);
-  EXPECT_EQ(parsed->cycles_used, run.api_trace.cycles_used);
-  for (size_t i = 0; i < parsed->calls.size(); ++i) {
-    const auto& a = run.api_trace.calls[i];
-    const auto& b = parsed->calls[i];
-    EXPECT_EQ(a.api_name, b.api_name) << i;
-    EXPECT_EQ(a.caller_pc, b.caller_pc) << i;
-    EXPECT_EQ(a.call_stack, b.call_stack) << i;
-    EXPECT_EQ(a.params, b.params) << i;
-    EXPECT_EQ(a.succeeded, b.succeeded) << i;
-    EXPECT_EQ(a.result, b.result) << i;
-    EXPECT_EQ(a.last_error, b.last_error) << i;
-    EXPECT_EQ(a.resource_identifier, b.resource_identifier) << i;
-    EXPECT_EQ(a.identifier_addr, b.identifier_addr) << i;
-    EXPECT_EQ(a.taint_reached_predicate, b.taint_reached_predicate) << i;
-    EXPECT_EQ(a.flows.size(), b.flows.size()) << i;
-    EXPECT_EQ(a.defines.size(), b.defines.size()) << i;
-    EXPECT_EQ(a.eax_sources.size(), b.eax_sources.size()) << i;
-    EXPECT_EQ(a.stack_args_used, b.stack_args_used) << i;
-  }
-}
-
-TEST(ApiTraceSerialize, RejectsGarbage) {
-  EXPECT_FALSE(trace::ParseApiTrace("").ok());
-  EXPECT_FALSE(trace::ParseApiTrace("BOGUS v1 0 0 0\n").ok());
-  EXPECT_FALSE(trace::ParseApiTrace("APITRACE v1 1 0 0\nC broken\n").ok());
-  EXPECT_FALSE(
-      trace::ParseApiTrace("APITRACE v1 0 0 0\nP orphan\n").ok());
-}
-
-TEST(InstructionTraceSerialize, ExactRoundTrip) {
-  auto run = RunZeus();
-  const std::string text =
-      trace::SerializeInstructionTrace(run.instruction_trace);
-  auto parsed = trace::ParseInstructionTrace(text);
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->records.size(), run.instruction_trace.records.size());
-  for (size_t i = 0; i < parsed->records.size(); ++i) {
-    const auto& a = run.instruction_trace.records[i];
-    const auto& b = parsed->records[i];
-    EXPECT_EQ(a.step.inst, b.step.inst) << i;
-    EXPECT_EQ(a.step.pc, b.step.pc) << i;
-    EXPECT_EQ(a.step.u1, b.step.u1) << i;
-    EXPECT_EQ(a.step.mem_addr, b.step.mem_addr) << i;
-    EXPECT_EQ(a.api_sequence, b.api_sequence) << i;
-  }
+  return sandbox::RunProgram(program.value(), env);
 }
 
 // ---- trace digests --------------------------------------------------------
@@ -268,11 +228,6 @@ TEST(ApiTraceDigest, IdenticalRunsGiveTheSameDigest) {
   EXPECT_TRUE(summary.recorded());
   EXPECT_EQ(summary.calls, first.calls.size());
   EXPECT_EQ(summary, trace::SummarizeApiTrace(second));
-  // The digest covers exactly what the text carries: a trace parsed back
-  // from its text has the live trace's digest.
-  auto parsed = trace::ParseApiTrace(trace::SerializeApiTrace(first));
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(trace::SummarizeApiTrace(*parsed), summary);
 }
 
 // The digest is part of every report and journal line, so its value is
@@ -352,69 +307,60 @@ TEST(ReportTraceSummary, MalformedSummariesAreRefused) {
   }
 }
 
-// Offline property (the paper's workflow): determinism analysis over the
-// PARSED traces produces the same classification as over the live ones.
-TEST(OfflineAnalysis, DeterminismFromSerializedTraces) {
-  auto program = malware::BuildConficker({});
-  AUTOVAC_CHECK(program.ok());
-  os::HostEnvironment env = os::HostEnvironment::StandardMachine();
-  sandbox::RunOptions options;
-  options.record_instructions = true;
-  auto live = sandbox::RunProgram(program.value(), env, options);
+// ---- vaccine packages ------------------------------------------------------
 
-  auto api = trace::ParseApiTrace(trace::SerializeApiTrace(live.api_trace));
-  auto inst = trace::ParseInstructionTrace(
-      trace::SerializeInstructionTrace(live.instruction_trace));
-  ASSERT_TRUE(api.ok());
-  ASSERT_TRUE(inst.ok());
-
-  // Find the derived-mutex anchor in both views and compare reports.
-  uint32_t anchor = UINT32_MAX;
-  for (const auto& call : live.api_trace.calls) {
-    if (call.api_name == "OpenMutexA" && call.identifier_addr != 0) {
-      anchor = call.sequence;
-      break;
-    }
+// The vaccines of every checked-in sample and of the Table III families,
+// in that order.
+std::vector<vaccine::Vaccine> SampleAndFamilyVaccines() {
+  std::vector<std::filesystem::path> paths;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(AUTOVAC_SAMPLES_DIR)) {
+    if (entry.path().extension() == ".asm") paths.push_back(entry.path());
   }
-  ASSERT_NE(anchor, UINT32_MAX);
-  auto live_report = analysis::AnalyzeIdentifier(live.instruction_trace,
-                                                 live.api_trace, anchor);
-  auto offline_report =
-      analysis::AnalyzeIdentifier(inst.value(), api.value(), anchor);
-  ASSERT_TRUE(live_report.ok());
-  ASSERT_TRUE(offline_report.ok());
-  EXPECT_EQ(live_report->cls, offline_report->cls);
-  EXPECT_EQ(live_report->identifier, offline_report->identifier);
-  EXPECT_EQ(live_report->origin_map, offline_report->origin_map);
-  EXPECT_EQ(live_report->slice_records, offline_report->slice_records);
+  std::sort(paths.begin(), paths.end());
+  std::vector<vm::Program> programs;
+  for (const auto& path : paths) {
+    std::ifstream in(path);
+    std::ostringstream source;
+    source << in.rdbuf();
+    auto program = sandbox::AssembleForSandbox(source.str());
+    AUTOVAC_CHECK(program.ok());
+    programs.push_back(std::move(program).value());
+  }
+  for (const malware::FamilyModel& family : malware::HighProfileFamilies()) {
+    auto program = family.build({});
+    AUTOVAC_CHECK(program.ok());
+    programs.push_back(std::move(program).value());
+  }
+  vaccine::VaccinePipeline pipeline(nullptr);
+  std::vector<vaccine::Vaccine> vaccines;
+  for (const vm::Program& program : programs) {
+    const vaccine::SampleReport report = pipeline.Analyze(program);
+    vaccines.insert(vaccines.end(), report.vaccines.begin(),
+                    report.vaccines.end());
+  }
+  return vaccines;
 }
 
-// ---- vaccine packages ----------------------------------------------------------
-
+// A parsed package re-serializes to the bytes it was read from, and every
+// vaccine keeps the digest it has in reports, the store and the feed.
 TEST(VaccinePackage, RoundTripIncludingSlice) {
-  auto program = malware::BuildConficker({});
-  AUTOVAC_CHECK(program.ok());
-  vaccine::VaccinePipeline pipeline(nullptr);
-  auto report = pipeline.Analyze(program.value());
-  ASSERT_FALSE(report.vaccines.empty());
+  const std::vector<vaccine::Vaccine> vaccines = SampleAndFamilyVaccines();
+  const auto sliced = std::count_if(
+      vaccines.begin(), vaccines.end(),
+      [](const vaccine::Vaccine& v) { return v.slice.has_value(); });
+  ASSERT_GT(sliced, 0);
+  ASSERT_GT(vaccines.size(), static_cast<size_t>(sliced));
 
-  const std::string package = vaccine::SerializePackage(report.vaccines);
+  const std::string package = vaccine::SerializePackage(vaccines);
   auto parsed = vaccine::ParsePackage(package);
   ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  ASSERT_EQ(parsed->size(), report.vaccines.size());
-
-  for (size_t i = 0; i < parsed->size(); ++i) {
-    const vaccine::Vaccine& a = report.vaccines[i];
-    const vaccine::Vaccine& b = (*parsed)[i];
-    EXPECT_EQ(a.identifier, b.identifier);
-    EXPECT_EQ(a.resource_type, b.resource_type);
-    EXPECT_EQ(a.simulate_presence, b.simulate_presence);
-    EXPECT_EQ(a.identifier_kind, b.identifier_kind);
-    EXPECT_EQ(a.immunization, b.immunization);
-    EXPECT_EQ(a.delivery, b.delivery);
-    EXPECT_EQ(a.pattern.text(), b.pattern.text());
-    EXPECT_EQ(a.OperationSymbols(), b.OperationSymbols());
-    EXPECT_EQ(a.slice.has_value(), b.slice.has_value());
+  EXPECT_EQ(vaccine::SerializePackage(*parsed), package);
+  ASSERT_EQ(parsed->size(), vaccines.size());
+  for (size_t i = 0; i < vaccines.size(); ++i) {
+    SCOPED_TRACE(vaccines[i].Summary());
+    EXPECT_EQ(vaccine::VaccineDigest((*parsed)[i]),
+              vaccine::VaccineDigest(vaccines[i]));
   }
 }
 
@@ -454,16 +400,66 @@ TEST(VaccinePackage, ParsedSliceStillReplays) {
 }
 
 TEST(VaccinePackage, RejectsGarbage) {
-  EXPECT_FALSE(vaccine::ParsePackage("").ok());
-  EXPECT_FALSE(vaccine::ParsePackage("NOTAPKG v1 0\n").ok());
-  EXPECT_FALSE(
-      vaccine::ParsePackage("VACCINEPKG v1 1\nI 1 2 3 4\n").ok());
-  EXPECT_FALSE(
-      vaccine::ParsePackage("VACCINEPKG v1 1\nV short\n").ok());
+  auto program = malware::BuildConficker({});
+  AUTOVAC_CHECK(program.ok());
+  vaccine::VaccinePipeline pipeline(nullptr);
+  const std::vector<vaccine::Vaccine> vaccines =
+      pipeline.Analyze(program.value()).vaccines;
+  ASSERT_FALSE(vaccines.empty());
+  const std::string package = vaccine::SerializePackage(vaccines);
+  const std::string element = vaccine::VaccineToJson(vaccines[0]);
+  const auto package_of = [](const std::string& version,
+                             const std::string& elements) {
+    return "{\"type\":\"vaccine-package\",\"version\":" + version +
+           ",\"vaccines\":[" + elements + "]}";
+  };
+  ASSERT_TRUE(vaccine::ParsePackage(package_of("2", element)).ok());
+  const std::string type_field = "\"resource_type\":";
+  const size_t type_at = element.find(type_field);
+  ASSERT_NE(type_at, std::string::npos);
+  std::string bad_type = element;
+  bad_type.replace(type_at, element.find(',', type_at) - type_at,
+                   type_field + "200");
+
+  // The retired line format is refused by name.
+  const std::string v1 =
+      "VACCINEPKG v1 1\n"
+      "V conficker %00 2 0 1 0 1 0 Global\\m Global\\m 0.500000 C\n";
+  auto old = vaccine::ParsePackage(v1);
+  ASSERT_FALSE(old.ok());
+  EXPECT_EQ(old.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(old.status().message().find("VACCINEPKG v1"), std::string::npos)
+      << old.status().ToString();
+
+  std::vector<std::string> bad = {
+      "",
+      package_of("1", element),
+      package_of("3", element),
+      package_of("\"2\"", element),
+      package_of("2", "7"),
+      package_of("2", "[]"),
+      package_of("2", "\"vaccine\""),
+      package_of("2", element + ",null"),
+      package_of("2", bad_type),
+      "{\"type\":\"campaign\",\"version\":2,\"vaccines\":[]}",
+      "{\"type\":\"vaccine-package\",\"version\":2}",
+      "[" + element + "]",
+  };
+  // Every truncation of a real package.
+  const size_t end = package.rfind('}');
+  for (size_t n = 0; n < end; ++n) bad.push_back(package.substr(0, n));
+  for (const std::string& text : bad) {
+    auto parsed = vaccine::ParsePackage(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument) << text;
+  }
 }
 
 TEST(VaccinePackage, EmptyPackage) {
-  auto parsed = vaccine::ParsePackage(vaccine::SerializePackage({}));
+  const std::string empty = vaccine::SerializePackage({});
+  EXPECT_EQ(empty, "{\"type\":\"vaccine-package\",\"version\":2,"
+                   "\"vaccines\":[]}\n");
+  auto parsed = vaccine::ParsePackage(empty);
   ASSERT_TRUE(parsed.ok());
   EXPECT_TRUE(parsed->empty());
 }

@@ -117,7 +117,7 @@ TEST(TaintMap, UntouchedPagesReadEmpty) {
   }
   EXPECT_EQ(map.Byte(vm::kMemSize - 1), kEmptySet);
   EXPECT_EQ(map.Byte(vm::kMemSize), kEmptySet);
-  EXPECT_EQ(map.CaptureState().mem.owned_pages(), 0u);
+  EXPECT_EQ(map.owned_pages(), 0u);
 }
 
 TEST(TaintMap, ClearingUntouchedPagesAllocatesNothing) {
@@ -127,14 +127,16 @@ TEST(TaintMap, ClearingUntouchedPagesAllocatesNothing) {
   // never held a label, that must stay free.
   map.SetRange(vm::kStackTop - 64, 64, kEmptySet);
   map.SetRange(vm::kDataBase + vm::kPageBytes - 2, 4, kEmptySet);
-  EXPECT_EQ(map.CaptureState().mem.owned_pages(), 0u);
+  EXPECT_EQ(map.owned_pages(), 0u);
 
   const LabelSetId label = store.AddSource(MakeSource(0));
   map.SetRange(vm::kDataBase + vm::kPageBytes - 2, 4, label);
-  EXPECT_EQ(map.CaptureState().mem.owned_pages(), 2u);
+  EXPECT_EQ(map.owned_pages(), 2u);
   EXPECT_EQ(map.RangeUnion(vm::kDataBase + vm::kPageBytes - 2, 4), label);
 }
 
+// A copy of the map captures its state: the copy shares the shadow pages
+// until either side writes them.
 TEST(TaintMap, CaptureStateIsIsolatedFromLaterWrites) {
   LabelStore store;
   TaintMap map(store);
@@ -142,21 +144,19 @@ TEST(TaintMap, CaptureStateIsIsolatedFromLaterWrites) {
   const LabelSetId b = store.AddSource(MakeSource(1));
   map.SetRange(vm::kDataBase, 4, a);
   map.SetReg(Reg::kEax, a);
-  const TaintMapState state = map.CaptureState();
+  TaintMap copy = map;
 
   map.SetRange(vm::kDataBase, 2, b);
   map.SetRange(vm::kHeapBase, 4, b);
   map.SetReg(Reg::kEax, b);
 
-  TaintMap restored(store);
-  restored.RestoreState(state);
-  EXPECT_EQ(restored.Byte(vm::kDataBase), a);
-  EXPECT_EQ(restored.Byte(vm::kDataBase + 3), a);
-  EXPECT_EQ(restored.Byte(vm::kHeapBase), kEmptySet);
-  EXPECT_EQ(restored.Reg(Reg::kEax), a);
-  EXPECT_EQ(state.mem.owned_pages(), 1u);
-  // Writing the restored copy leaves the live map alone as well.
-  restored.SetRange(vm::kDataBase + 2, 2, kEmptySet);
+  EXPECT_EQ(copy.Byte(vm::kDataBase), a);
+  EXPECT_EQ(copy.Byte(vm::kDataBase + 3), a);
+  EXPECT_EQ(copy.Byte(vm::kHeapBase), kEmptySet);
+  EXPECT_EQ(copy.Reg(Reg::kEax), a);
+  EXPECT_EQ(copy.owned_pages(), 1u);
+  // Writing the copy leaves the live map alone as well.
+  copy.SetRange(vm::kDataBase + 2, 2, kEmptySet);
   EXPECT_EQ(map.Byte(vm::kDataBase + 2), a);
   EXPECT_EQ(map.Byte(vm::kDataBase), b);
 }

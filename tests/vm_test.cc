@@ -3,6 +3,9 @@
 // loading.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <set>
+
 #include "support/strings.h"
 #include "vm/assembler.h"
 #include "vm/cpu.h"
@@ -685,6 +688,65 @@ TEST(IsaEncoding, RoundTripsAndRejectsGarbage) {
   EXPECT_FALSE(DecodeInstruction(bad.data(), &decoded));
 }
 
+// Every opcode byte against every register byte, in the r1 and in the r2
+// slot (the other slot holding eax): an encoding decodes exactly when the
+// opcode exists, each register byte names a register or kNone, and kNone
+// is not the r1 of an opcode that writes r1.
+TEST(IsaEncoding, OperandTableOverEveryOpcodeAndRegisterByte) {
+  const std::set<Op> writes_r1 = {
+      Op::kMovRI, Op::kMovRR, Op::kLoad,  Op::kLoadB, Op::kLea,
+      Op::kPopR,  Op::kAddRR, Op::kAddRI, Op::kSubRR, Op::kSubRI,
+      Op::kXorRR, Op::kXorRI, Op::kAndRR, Op::kAndRI, Op::kOrRR,
+      Op::kOrRI,  Op::kMulRR, Op::kMulRI, Op::kShlRI, Op::kShrRI,
+      Op::kNotR,  Op::kNegR,  Op::kIncR,  Op::kDecR};
+  constexpr int kNoneByte = static_cast<int>(Reg::kNone);
+  size_t valid = 0;
+  for (int op = 0; op < 256; ++op) {
+    const bool is_op = op < static_cast<int>(Op::kOpCount);
+    if (is_op) {
+      EXPECT_EQ(GetOpInfo(static_cast<Op>(op)).writes_r1,
+                writes_r1.count(static_cast<Op>(op)) > 0)
+          << OpName(static_cast<Op>(op));
+    }
+    for (int reg = 0; reg < 256; ++reg) {
+      const bool names_reg = reg < static_cast<int>(kNumRegs) ||
+                             reg == kNoneByte;
+      for (const bool in_r1 : {true, false}) {
+        SCOPED_TRACE(StrFormat("op %d, %s = %d", op, in_r1 ? "r1" : "r2",
+                               reg));
+        const int r1 = in_r1 ? reg : 0;
+        const int r2 = in_r1 ? 0 : reg;
+        const bool expected =
+            is_op && names_reg &&
+            !(in_r1 && reg == kNoneByte &&
+              writes_r1.count(static_cast<Op>(op)) > 0);
+        EXPECT_EQ(ValidOperands(op, r1, r2), expected);
+        const std::array<uint8_t, kEncodedInstrSize> bytes = {
+            static_cast<uint8_t>(op), static_cast<uint8_t>(r1),
+            static_cast<uint8_t>(r2), 0, 7, 0, 0, 0};
+        Instruction decoded{Op::kNop, Reg::kEbx, Reg::kEbx, 1};
+        ASSERT_EQ(DecodeInstruction(bytes.data(), &decoded), expected);
+        if (expected) {
+          ++valid;
+          EXPECT_EQ(decoded, (Instruction{static_cast<Op>(op),
+                                          static_cast<Reg>(r1),
+                                          static_cast<Reg>(r2), 7}));
+          EXPECT_EQ(EncodeInstruction(decoded), bytes);
+        } else {
+          EXPECT_EQ(decoded, (Instruction{Op::kNop, Reg::kEbx, Reg::kEbx, 1}));
+        }
+      }
+    }
+  }
+  // 9 register bytes in each slot, less kNone as r1 where r1 is written.
+  EXPECT_EQ(valid, static_cast<size_t>(Op::kOpCount) * 18 - writes_r1.size());
+  // Values no register byte holds are refused too.
+  EXPECT_FALSE(ValidOperands(-1, 0, 0));
+  EXPECT_FALSE(ValidOperands(static_cast<int>(Op::kMovRI), -1, 0));
+  EXPECT_FALSE(ValidOperands(static_cast<int>(Op::kMovRI), 0, 256));
+  EXPECT_FALSE(ValidOperands(static_cast<int>(Op::kMovRI), 256, 0));
+}
+
 // Counts kSelfModifyingCode events (the accessor on Cpu is a flush-delta,
 // so tests observe the event stream directly).
 struct SmcCounter : ExecutionObserver {
@@ -887,6 +949,22 @@ TEST(Cpu, InvalidEncodingFaults) {
   EXPECT_EQ(cpu.Run(10), StopReason::kFault);
   EXPECT_NE(cpu.fault_message().find("invalid instruction"),
             std::string::npos);
+}
+
+// A guest that writes `mov <none>, imm` into memory and calls it: the
+// decoder refuses it, so the CPU faults instead of storing past its
+// register file.
+TEST(Cpu, GuestMovIntoNoRegisterFaults) {
+  auto out = RunSource(R"(
+.data
+  word code 0x00FFFF02 0x41414141 0x00FFFF01 0
+.text
+  call code
+  hlt
+)");
+  EXPECT_EQ(out.reason, StopReason::kFault);
+  EXPECT_NE(out.fault.find("invalid instruction encoding"), std::string::npos)
+      << out.fault;
 }
 
 TEST(Cpu, StaticCallIntoMemoryReturnsToStaticCode) {

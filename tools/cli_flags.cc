@@ -217,8 +217,9 @@ std::vector<FlagGroup> CampaignTable(CampaignArgs& a) {
        {Uint("--jobs", &d.jobs, "crash-isolated worker processes", 1),
         Text("--journal", &d.journal_path, "<f>",
              "fsync one journal record per completed sample"),
-        Switch("--resume", &d.resume, true,
-               "skip samples already completed in --journal"),
+        Needs("--journal",
+              Switch("--resume", &d.resume, true,
+                     "skip samples already completed in --journal")),
         Uint("--sample-deadline-ms", &d.sample_deadline_ms,
              "per-sample deadline, enforced in forked workers; 0 = none"),
         Needs("--journal",
@@ -383,7 +384,8 @@ std::vector<FlagGroup> CoordinateTable(CoordinateArgs& a) {
       {"coordinator options",
        {Required(Text("--socket", &c.socket_path, "<s>", "fleet endpoint")),
         Text("--journal", &c.journal_path, "<f>", "write-ahead journal"),
-        Switch("--resume", &c.resume, true, "resume from --journal"),
+        Needs("--journal",
+              Switch("--resume", &c.resume, true, "resume from --journal")),
         Uint("--lease-ms", &c.lease_ms,
              "a worker that does not renew its lease in time loses it"),
         Uint("--threads", &c.threads, "request pool threads", 1),
