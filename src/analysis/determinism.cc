@@ -1,12 +1,11 @@
 #include "analysis/determinism.h"
 
-#include <algorithm>
 #include <array>
 #include <set>
 
 #include "sandbox/api_ids.h"
 #include "support/strings.h"
-#include "vm/isa.h"
+#include "vm/dataflow.h"
 #include "vm/memory.h"
 
 namespace autovac::analysis {
@@ -14,8 +13,6 @@ namespace {
 
 using vm::Op;
 using vm::Reg;
-
-ByteOrigin Max(ByteOrigin a, ByteOrigin b) { return a > b ? a : b; }
 
 char OriginChar(ByteOrigin origin) {
   switch (origin) {
@@ -32,117 +29,48 @@ ByteOrigin FromDataOrigin(trace::DataOrigin origin) {
 }
 
 // ---------------------------------------------------------------------
-// Forward origin pass: per-byte / per-register origin propagation that
-// mirrors the taint engine's rules but carries three origin classes.
+// Forward origin pass: the opcode table's propagation policy
+// (vm::PropagateStep) over three origin classes, joined by severity. The
+// tracker is the byte-origin Shadow; only its `sys` handling is its own.
 // ---------------------------------------------------------------------
 class OriginTracker {
  public:
+  using Value = ByteOrigin;
+
   explicit OriginTracker(bool track_control_dependence = false)
       : track_control_(track_control_dependence) {}
 
   void Step(const trace::InstructionRecord& record,
             const trace::ApiTrace& api_trace) {
     const vm::StepInfo& step = record.step;
-    const vm::Instruction& inst = step.inst;
-
-    // Control-dependence extension: a conditional forward branch on
-    // environment/random-derived flags opens a region in which written
-    // values inherit that origin.
-    const ByteOrigin control = track_control_ && step.pc >= region_start_ &&
-                                       step.pc < region_end_
-                                   ? region_origin_
-                                   : ByteOrigin::kStatic;
-    if (track_control_) {
-      const bool conditional =
-          inst.op == Op::kJz || inst.op == Op::kJnz || inst.op == Op::kJg ||
-          inst.op == Op::kJl || inst.op == Op::kJge || inst.op == Op::kJle;
-      if (conditional && flags_ != ByteOrigin::kStatic) {
-        const auto target = static_cast<uint32_t>(inst.imm);
-        if (target > step.pc) {
-          region_origin_ = Max(region_origin_, flags_);
-          if (step.branch_taken) {
-            const uint32_t span = std::max<uint32_t>(target - step.pc - 1, 1);
-            region_start_ = target;
-            region_end_ = target + span;
-          } else {
-            region_start_ = step.pc + 1;
-            region_end_ = target;
-          }
-        }
-      } else if (step.pc >= region_end_) {
-        region_origin_ = ByteOrigin::kStatic;
-        region_start_ = region_end_ = 0;
-      }
-    }
-
-    switch (inst.op) {
-      case Op::kMovRI:
-        SetReg(inst.r1, control);
-        break;
-      case Op::kMovRR:
-      case Op::kLea:
-        SetReg(inst.r1, Max(RegOrigin(inst.r2), control));
-        break;
-      case Op::kLoad:
-      case Op::kLoadB:
-        SetReg(inst.r1,
-               Max(RangeOrigin(step.mem_addr, step.mem_size), control));
-        break;
-      case Op::kStore:
-      case Op::kStoreB:
-        SetRange(step.mem_addr, step.mem_size,
-                 Max(RegOrigin(inst.r2), control));
-        break;
-      case Op::kPushR:
-        SetRange(step.mem_addr, step.mem_size,
-                 Max(RegOrigin(inst.r1), control));
-        break;
-      case Op::kPushI:
-      case Op::kCall:
-        SetRange(step.mem_addr, step.mem_size, ByteOrigin::kStatic);
-        break;
-      case Op::kPopR:
-        SetReg(inst.r1, RangeOrigin(step.mem_addr, step.mem_size));
-        break;
-      case Op::kXorRR:
-        if (inst.r1 == inst.r2) {
-          SetReg(inst.r1, ByteOrigin::kStatic);
-          flags_ = ByteOrigin::kStatic;
-          break;
-        }
-        [[fallthrough]];
-      case Op::kAddRR: case Op::kSubRR: case Op::kAndRR: case Op::kOrRR:
-      case Op::kMulRR:
-        SetReg(inst.r1, Max(RegOrigin(inst.r1), RegOrigin(inst.r2)));
-        flags_ = RegOrigin(inst.r1);
-        break;
-      case Op::kCmpRR:
-      case Op::kTestRR:
-        flags_ = Max(RegOrigin(inst.r1), RegOrigin(inst.r2));
-        break;
-      case Op::kCmpRI:
-      case Op::kTestRI:
-        flags_ = RegOrigin(inst.r1);
-        break;
-      case Op::kAddRI: case Op::kSubRI: case Op::kXorRI: case Op::kAndRI:
-      case Op::kOrRI: case Op::kMulRI: case Op::kShlRI: case Op::kShrRI:
-      case Op::kNotR: case Op::kNegR: case Op::kIncR: case Op::kDecR:
-        flags_ = RegOrigin(inst.r1);
-        break;
-      case Op::kSys:
-        StepSys(record, api_trace);
-        break;
-      default:
-        break;  // pushes/pops/branches handled above or carry no origin
-    }
+    const ByteOrigin control =
+        track_control_ ? region_.Step(step, *this) : ByteOrigin::kStatic;
+    vm::PropagateStep(step, *this, control, /*propagate_addresses=*/false);
+    if (step.inst.op == Op::kSys) StepSys(record, api_trace);
   }
 
-  [[nodiscard]] ByteOrigin RangeOrigin(uint32_t addr, uint32_t size) const {
+  // --- the Shadow interface (vm/dataflow.h) ---
+  static ByteOrigin Union(ByteOrigin a, ByteOrigin b) { return a > b ? a : b; }
+  [[nodiscard]] ByteOrigin Reg(vm::Reg reg) const {
+    return reg == vm::Reg::kNone ? ByteOrigin::kStatic
+                                 : regs_[static_cast<size_t>(reg)];
+  }
+  void SetReg(vm::Reg reg, ByteOrigin origin) {
+    if (reg != vm::Reg::kNone) regs_[static_cast<size_t>(reg)] = origin;
+  }
+  [[nodiscard]] ByteOrigin Flags() const { return flags_; }
+  void SetFlags(ByteOrigin origin) { flags_ = origin; }
+  [[nodiscard]] ByteOrigin RangeUnion(uint32_t addr, uint32_t size) const {
     ByteOrigin origin = ByteOrigin::kStatic;
     for (uint32_t i = 0; i < size && addr + i < vm::kMemSize; ++i) {
-      origin = Max(origin, mem_.Get(addr + i));
+      origin = Union(origin, mem_.Get(addr + i));
     }
     return origin;
+  }
+  void SetRange(uint32_t addr, uint32_t size, ByteOrigin origin) {
+    for (uint32_t i = 0; i < size && addr + i < vm::kMemSize; ++i) {
+      mem_.Set(addr + i, origin);
+    }
   }
 
   [[nodiscard]] ByteOrigin ByteAt(uint32_t addr) const {
@@ -161,8 +89,7 @@ class OriginTracker {
           SetByte(flow.dst + i, ByteAt(flow.src + i));
         }
       } else {
-        SetRange(flow.dst, flow.dst_len,
-                 RangeOrigin(flow.src, flow.src_len));
+        SetRange(flow.dst, flow.dst_len, RangeUnion(flow.src, flow.src_len));
       }
     }
     for (const trace::DataDefine& define : call.defines) {
@@ -180,37 +107,23 @@ class OriginTracker {
         eax = ByteOrigin::kRandom;
       } else if (!call.eax_sources.empty()) {
         for (const auto& span : call.eax_sources) {
-          eax = Max(eax, RangeOrigin(span.addr, span.len));
+          eax = Union(eax, RangeUnion(span.addr, span.len));
         }
       } else if (spec.is_resource_api || call.api_name == "GetLastError") {
         // Handle values / resource state reflect the machine environment.
         eax = ByteOrigin::kEnvironment;
       }
     }
-    SetReg(Reg::kEax, eax);
+    SetReg(vm::Reg::kEax, eax);
   }
 
-  void SetReg(Reg reg, ByteOrigin origin) {
-    if (reg != Reg::kNone) regs_[static_cast<size_t>(reg)] = origin;
-  }
-  [[nodiscard]] ByteOrigin RegOrigin(Reg reg) const {
-    return reg == Reg::kNone ? ByteOrigin::kStatic
-                             : regs_[static_cast<size_t>(reg)];
-  }
   void SetByte(uint32_t addr, ByteOrigin origin) {
     if (addr < vm::kMemSize) mem_.Set(addr, origin);
-  }
-  void SetRange(uint32_t addr, uint32_t size, ByteOrigin origin) {
-    for (uint32_t i = 0; i < size && addr + i < vm::kMemSize; ++i) {
-      mem_.Set(addr + i, origin);
-    }
   }
 
   bool track_control_ = false;
   ByteOrigin flags_ = ByteOrigin::kStatic;
-  ByteOrigin region_origin_ = ByteOrigin::kStatic;
-  uint32_t region_start_ = 0;
-  uint32_t region_end_ = 0;
+  vm::ControlRegion<ByteOrigin> region_;
   std::array<ByteOrigin, vm::kNumRegs> regs_{};
   // kStatic is ByteOrigin{}, so untouched pages stay unallocated.
   vm::ShadowMemory<ByteOrigin> mem_;
@@ -390,50 +303,11 @@ Result<DeterminismReport> AnalyzeIdentifier(
     }
     if (!hit) continue;
     slice.insert(static_cast<uint32_t>(i));
-
-    switch (inst.op) {
-      case Op::kMovRI:
-      case Op::kPushI:
-        break;  // constant terminal
-      case Op::kMovRR:
-      case Op::kLea:
-        workset.AddReg(inst.r2);
-        break;
-      case Op::kLoad:
-      case Op::kLoadB:
-        workset.AddRange(step.mem_addr, step.mem_size);
-        // Address registers feed replay correctness.
-        workset.AddReg(inst.r2);
-        break;
-      case Op::kStore:
-      case Op::kStoreB:
-        workset.AddReg(inst.r2);
-        workset.AddReg(inst.r1);  // address base
-        break;
-      case Op::kPushR:
-        workset.AddReg(inst.r1);
-        break;
-      case Op::kPopR:
-        workset.AddRange(step.mem_addr, step.mem_size);
-        break;
-      case Op::kXorRR:
-        if (inst.r1 == inst.r2) break;  // zeroing idiom: constant
-        workset.AddReg(inst.r1);
-        workset.AddReg(inst.r2);
-        break;
-      case Op::kAddRR: case Op::kSubRR: case Op::kAndRR: case Op::kOrRR:
-      case Op::kMulRR:
-        workset.AddReg(inst.r1);
-        workset.AddReg(inst.r2);
-        break;
-      case Op::kAddRI: case Op::kSubRI: case Op::kXorRI: case Op::kAndRI:
-      case Op::kOrRI: case Op::kMulRI: case Op::kShlRI: case Op::kShrRI:
-      case Op::kNotR: case Op::kNegR: case Op::kIncR: case Op::kDecR:
-        workset.AddReg(inst.r1);
-        break;
-      default:
-        break;
-    }
+    // The sources the forward passes join; address registers always
+    // count, since replaying the slice needs them.
+    vm::ForEachSource(
+        inst, /*with_address=*/true, [&](Reg reg) { workset.AddReg(reg); },
+        [&] { workset.AddRange(step.mem_addr, step.mem_size); });
   }
 
   report.slice_records.assign(slice.begin(), slice.end());

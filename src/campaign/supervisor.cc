@@ -37,19 +37,6 @@ struct Slot {
   bool eof = false;
 };
 
-// Builds the failure report the supervisor records when a worker died
-// without delivering a usable frame.
-vaccine::SampleReport FailureReport(const vm::Program& sample,
-                                    vaccine::SampleDisposition disposition,
-                                    Status cause) {
-  vaccine::SampleReport report;
-  report.sample_name = sample.name;
-  report.sample_digest = sample.Digest();
-  report.disposition = disposition;
-  report.phase1_status = std::move(cause);
-  return report;
-}
-
 Status DescribeDeath(const Slot& slot, int wait_status,
                      const CampaignOptions& options,
                      vaccine::SampleDisposition* disposition) {
@@ -235,11 +222,11 @@ Result<CampaignRun> RunDurableCampaign(
         ++run.stats.samples_quarantined;
         return complete(
             slot.index,
-            FailureReport(samples[slot.index],
-                          vaccine::SampleDisposition::kQuarantined,
-                          Status::FailedPrecondition(StrFormat(
-                              "quarantined after %zu worker deaths; last: %s",
-                              kills[slot.index], cause.message().c_str()))));
+            vaccine::FailedSampleReport(
+                samples[slot.index], vaccine::SampleDisposition::kQuarantined,
+                Status::FailedPrecondition(StrFormat(
+                    "quarantined after %zu worker deaths; last: %s",
+                    kills[slot.index], cause.message().c_str()))));
       }
       if (slot.attempt < options.max_worker_retries) {
         ++run.stats.worker_retries;
@@ -248,8 +235,10 @@ Result<CampaignRun> RunDurableCampaign(
         queue.emplace_front(slot.index, slot.attempt + 1);
         return Status::Ok();
       }
-      return complete(slot.index, FailureReport(samples[slot.index],
-                                                disposition, std::move(cause)));
+      return complete(slot.index,
+                      vaccine::FailedSampleReport(samples[slot.index],
+                                                  disposition,
+                                                  std::move(cause)));
     };
 
     Status loop_error = Status::Ok();

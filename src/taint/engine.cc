@@ -1,143 +1,17 @@
 #include "taint/engine.h"
 
-#include <algorithm>
-
 namespace autovac::taint {
 
 void TaintEngine::OnStep(const vm::StepInfo& step) {
-  using vm::Op;
-  const vm::Instruction& inst = step.inst;
-  LabelStore& store = map_.store();
   ++propagation_ops_;
-
-  // Control-dependence extension (§VII future work): a conditional branch
-  // on tainted flags opens a region in which writes inherit the
-  // predicate's labels.
-  const LabelSetId control =
-      options_.track_control_dependence ? ControlLabel(step.pc) : kEmptySet;
-  if (options_.track_control_dependence) {
-    const bool conditional =
-        inst.op == Op::kJz || inst.op == Op::kJnz || inst.op == Op::kJg ||
-        inst.op == Op::kJl || inst.op == Op::kJge || inst.op == Op::kJle;
-    if (conditional && map_.Flags() != kEmptySet) {
-      const auto target = static_cast<uint32_t>(inst.imm);
-      if (target > step.pc) {  // forward branch: if/else shape
-        control_label_ = store.Union(control_label_, map_.Flags());
-        if (step.branch_taken) {
-          // The else-arm executes; approximate its extent by the
-          // then-arm's length (the compiler-ladder diamond is symmetric
-          // enough for the laundering idiom).
-          const uint32_t span = std::max<uint32_t>(target - step.pc - 1, 1);
-          control_region_start_ = target;
-          control_region_end_ = target + span;
-        } else {
-          control_region_start_ = step.pc + 1;
-          control_region_end_ = target;
-        }
-      }
-    } else if (step.pc >= control_region_end_) {
-      control_label_ = kEmptySet;  // left the region
-      control_region_start_ = control_region_end_ = 0;
-    }
-  }
-
-  switch (inst.op) {
-    case Op::kNop:
-    case Op::kHlt:
-    case Op::kJmp:
-    case Op::kJz: case Op::kJnz: case Op::kJg: case Op::kJl:
-    case Op::kJge: case Op::kJle:
-      break;
-
-    case Op::kMovRI:
-      map_.SetReg(inst.r1, control);  // constants clear taint (unless
-                                      // control-dependent on a predicate)
-      break;
-    case Op::kMovRR:
-    case Op::kLea:
-      map_.SetReg(inst.r1, store.Union(map_.Reg(inst.r2), control));
-      break;
-
-    case Op::kLoad:
-    case Op::kLoadB: {
-      LabelSetId label = map_.RangeUnion(step.mem_addr, step.mem_size);
-      if (options_.propagate_addresses) {
-        label = store.Union(label, map_.Reg(inst.r2));
-      }
-      map_.SetReg(inst.r1, store.Union(label, control));
-      break;
-    }
-    case Op::kStore:
-    case Op::kStoreB: {
-      LabelSetId label = map_.Reg(inst.r2);
-      if (options_.propagate_addresses) {
-        label = store.Union(label, map_.Reg(inst.r1));
-      }
-      map_.SetRange(step.mem_addr, step.mem_size, store.Union(label, control));
-      break;
-    }
-
-    case Op::kPushR:
-      map_.SetRange(step.mem_addr, step.mem_size,
-                    store.Union(map_.Reg(inst.r1), control));
-      break;
-    case Op::kPushI:
-    case Op::kCall:  // pushes a constant return pc
-      map_.SetRange(step.mem_addr, step.mem_size, kEmptySet);
-      break;
-    case Op::kPopR:
-    case Op::kRet: {
-      const LabelSetId label = map_.RangeUnion(step.mem_addr, step.mem_size);
-      if (inst.op == Op::kPopR) map_.SetReg(inst.r1, label);
-      break;
-    }
-
-    case Op::kXorRR:
-      if (inst.r1 == inst.r2) {
-        // xor r, r — the x86 zeroing idiom severs dataflow.
-        map_.SetReg(inst.r1, kEmptySet);
-        map_.SetFlags(kEmptySet);
-        break;
-      }
-      [[fallthrough]];
-    case Op::kAddRR: case Op::kSubRR: case Op::kAndRR: case Op::kOrRR:
-    case Op::kMulRR: {
-      const LabelSetId label =
-          store.Union(map_.Reg(inst.r1), map_.Reg(inst.r2));
-      map_.SetReg(inst.r1, label);
-      map_.SetFlags(label);
-      break;
-    }
-    case Op::kAddRI: case Op::kSubRI: case Op::kXorRI: case Op::kAndRI:
-    case Op::kOrRI: case Op::kMulRI: case Op::kShlRI: case Op::kShrRI:
-    case Op::kNotR: case Op::kNegR: case Op::kIncR: case Op::kDecR:
-      // Unary/immediate forms keep the destination's taint.
-      map_.SetFlags(map_.Reg(inst.r1));
-      break;
-
-    case Op::kCmpRR:
-    case Op::kTestRR: {
-      const LabelSetId label =
-          store.Union(map_.Reg(inst.r1), map_.Reg(inst.r2));
-      map_.SetFlags(label);
-      if (label != kEmptySet) predicates_.push_back({step.pc, label});
-      break;
-    }
-    case Op::kCmpRI:
-    case Op::kTestRI: {
-      const LabelSetId label = map_.Reg(inst.r1);
-      map_.SetFlags(label);
-      if (label != kEmptySet) predicates_.push_back({step.pc, label});
-      break;
-    }
-
-    case Op::kSys:
-      // Kernel introduces taint explicitly via TaintReturnValue /
-      // TaintMemory after handling the call.
-      break;
-
-    case Op::kOpCount:
-      break;
+  // The kernel introduces `sys` taint explicitly via TaintReturnValue /
+  // TaintMemory after handling the call.
+  const LabelSetId control = options_.track_control_dependence
+                                 ? control_.Step(step, map_)
+                                 : kEmptySet;
+  vm::PropagateStep(step, map_, control, options_.propagate_addresses);
+  if (vm::GetOpInfo(step.inst.op).is_predicate && map_.Flags() != kEmptySet) {
+    predicates_.push_back({step.pc, map_.Flags()});
   }
 }
 

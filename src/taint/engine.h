@@ -9,6 +9,7 @@
 
 #include "taint/taint_map.h"
 #include "vm/cpu.h"
+#include "vm/dataflow.h"
 
 namespace autovac::taint {
 
@@ -29,9 +30,7 @@ struct TaintEngineOptions {
   // region carry the predicate's labels. This is the paper's §VII future
   // work ("malware could deliberately ... obfuscate through control
   // dependence"); off by default to match the published system. The
-  // region is the single-level span between the branch and its forward
-  // target — enough for the if/else laundering idiom, not a full
-  // post-dominator analysis.
+  // region is vm::ControlRegion's single-level span.
   bool track_control_dependence = false;
 };
 
@@ -40,8 +39,10 @@ class TaintEngine {
   TaintEngine(LabelStore& store, TaintEngineOptions options = {})
       : map_(store), options_(options) {}
 
-  // Propagates taint for one retired instruction. Call after the CPU
-  // executes the step (register values in `step` are pre-execution).
+  // Propagates taint for one retired instruction by the opcode table's
+  // policy (vm::PropagateStep) and records a tainted predicate when a
+  // cmp/test leaves tainted flags. Call after the CPU executes the step
+  // (register values in `step` are pre-execution).
   void OnStep(const vm::StepInfo& step);
 
   // --- kernel-side taint introduction (per the API labelling table) ---
@@ -70,21 +71,11 @@ class TaintEngine {
   [[nodiscard]] const TaintMap& map() const { return map_; }
 
  private:
-  // Label applied to writes control-dependent on a tainted branch, while
-  // execution stays inside [region_start_, region_end_).
-  LabelSetId ControlLabel(uint32_t pc) const {
-    return (pc >= control_region_start_ && pc < control_region_end_)
-               ? control_label_
-               : kEmptySet;
-  }
-
   TaintMap map_;
   TaintEngineOptions options_;
   std::vector<PredicateEvent> predicates_;
   uint64_t propagation_ops_ = 0;
-  LabelSetId control_label_ = kEmptySet;
-  uint32_t control_region_start_ = 0;
-  uint32_t control_region_end_ = 0;
+  vm::ControlRegion<LabelSetId> control_;
 };
 
 }  // namespace autovac::taint

@@ -12,8 +12,11 @@
 
 namespace autovac::taint {
 
+// The label-set Shadow that vm::PropagateStep runs over.
 class TaintMap {
  public:
+  using Value = LabelSetId;
+
   explicit TaintMap(LabelStore& store) : store_(store) {}
 
   [[nodiscard]] LabelSetId Reg(vm::Reg reg) const {
@@ -31,6 +34,12 @@ class TaintMap {
   [[nodiscard]] LabelSetId RangeUnion(uint32_t addr, uint32_t size) const;
 
   void SetRange(uint32_t addr, uint32_t size, LabelSetId label);
+
+  // The store's union; a join with the empty set needs no lookup.
+  [[nodiscard]] LabelSetId Union(LabelSetId a, LabelSetId b) {
+    if (a == kEmptySet) return b;
+    return b == kEmptySet ? a : store_.Union(a, b);
+  }
 
   [[nodiscard]] LabelSetId Byte(uint32_t addr) const {
     return addr < vm::kMemSize ? mem_.Get(addr) : kEmptySet;

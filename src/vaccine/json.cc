@@ -56,6 +56,14 @@ std::string SliceToJson(const analysis::VaccineSlice& slice) {
   return out;
 }
 
+// A guest address or length: the VM is 32-bit, so a wider value would
+// replay at another address (and re-encode to other bytes).
+Result<uint32_t> JsonFieldUint32(const JsonValue& json, std::string_view key) {
+  AUTOVAC_ASSIGN_OR_RETURN(const uint64_t value,
+                           JsonFieldEnum(json, key, uint64_t{1} << 32));
+  return static_cast<uint32_t>(value);
+}
+
 Result<analysis::VaccineSlice> SliceFromJson(const JsonValue& json) {
   if (!json.is_object()) {
     return Status::InvalidArgument("slice is not an object");
@@ -63,15 +71,12 @@ Result<analysis::VaccineSlice> SliceFromJson(const JsonValue& json) {
   analysis::VaccineSlice slice;
   AUTOVAC_ASSIGN_OR_RETURN(slice.program.name,
                            JsonFieldString(json, "name"));
-  AUTOVAC_ASSIGN_OR_RETURN(const uint64_t entry,
-                           JsonFieldUint64(json, "entry"));
-  slice.program.entry = static_cast<uint32_t>(entry);
-  AUTOVAC_ASSIGN_OR_RETURN(const uint64_t output_addr,
-                           JsonFieldUint64(json, "output_addr"));
-  slice.output_addr = static_cast<uint32_t>(output_addr);
-  AUTOVAC_ASSIGN_OR_RETURN(const uint64_t output_len,
-                           JsonFieldUint64(json, "output_len"));
-  slice.output_len = static_cast<uint32_t>(output_len);
+  AUTOVAC_ASSIGN_OR_RETURN(slice.program.entry,
+                           JsonFieldUint32(json, "entry"));
+  AUTOVAC_ASSIGN_OR_RETURN(slice.output_addr,
+                           JsonFieldUint32(json, "output_addr"));
+  AUTOVAC_ASSIGN_OR_RETURN(slice.output_len,
+                           JsonFieldUint32(json, "output_len"));
 
   const JsonValue* code = json.Find("code");
   if (code == nullptr || !code->is_array()) {
@@ -107,9 +112,8 @@ Result<analysis::VaccineSlice> SliceFromJson(const JsonValue& json) {
   }
   for (const JsonValue& blob_json : data->array) {
     vm::DataBlob blob;
-    AUTOVAC_ASSIGN_OR_RETURN(const uint64_t addr,
-                             JsonFieldUint64(blob_json, "addr"));
-    blob.address = static_cast<uint32_t>(addr);
+    AUTOVAC_ASSIGN_OR_RETURN(blob.address,
+                             JsonFieldUint32(blob_json, "addr"));
     AUTOVAC_ASSIGN_OR_RETURN(const std::string hex,
                              JsonFieldString(blob_json, "bytes"));
     if (hex.size() % 2 != 0) {

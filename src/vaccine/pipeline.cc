@@ -391,6 +391,18 @@ std::string_view SampleDispositionName(SampleDisposition disposition) {
   return "unknown";
 }
 
+SampleReport FailedSampleReport(const vm::Program& sample,
+                                SampleDisposition disposition,
+                                Status status) {
+  SampleReport report;
+  report.sample_name = sample.name;
+  report.sample_digest = sample.Digest();
+  report.evasion_class = sample.evasion_class;
+  report.disposition = disposition;
+  report.phase1_status = std::move(status);
+  return report;
+}
+
 SampleReport AnalyzeIsolated(const VaccinePipeline& pipeline,
                              const vm::Program& sample) {
   try {
@@ -398,13 +410,9 @@ SampleReport AnalyzeIsolated(const VaccinePipeline& pipeline,
   } catch (const std::exception& e) {
     // Last-resort isolation: Analyze's own catch blocks should make
     // this unreachable, but a hostile sample must never kill the wave.
-    SampleReport report;
-    report.sample_name = sample.name;
-    report.evasion_class = sample.evasion_class;
-    report.disposition = SampleDisposition::kIsolatedCrash;
-    report.phase1_status =
-        Status::Internal(std::string("analysis crash: ") + e.what());
-    return report;
+    return FailedSampleReport(
+        sample, SampleDisposition::kIsolatedCrash,
+        Status::Internal(std::string("analysis crash: ") + e.what()));
   }
 }
 

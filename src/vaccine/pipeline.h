@@ -210,6 +210,13 @@ class VaccinePipeline {
   PipelineOptions options_;
 };
 
+// The report of a sample whose analysis produced none: its identity
+// (name, digest, evasion class), how it failed, and why (as the phase-1
+// status). A fleet coordinator matches the digest against its corpus.
+[[nodiscard]] SampleReport FailedSampleReport(const vm::Program& sample,
+                                              SampleDisposition disposition,
+                                              Status status);
+
 // Runs Analyze with last-resort exception isolation: an escaped throw
 // becomes a well-formed failed report (disposition kIsolatedCrash)
 // instead of aborting the caller. The per-sample unit both the in-process

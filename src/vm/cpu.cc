@@ -40,53 +40,6 @@ VmMetrics& GetVmMetrics() {
 
 }  // namespace
 
-const char* OpClassName(OpClass cls) {
-  switch (cls) {
-    case OpClass::kControl: return "control";
-    case OpClass::kMove: return "move";
-    case OpClass::kMemory: return "memory";
-    case OpClass::kStack: return "stack";
-    case OpClass::kAlu: return "alu";
-    case OpClass::kCompare: return "compare";
-    case OpClass::kBranch: return "branch";
-    case OpClass::kCallRet: return "call";
-    case OpClass::kSys: return "sys";
-    case OpClass::kClassCount: break;
-  }
-  return "?";
-}
-
-OpClass ClassifyOp(Op op) {
-  switch (op) {
-    case Op::kNop: case Op::kHlt:
-      return OpClass::kControl;
-    case Op::kMovRI: case Op::kMovRR: case Op::kLea:
-      return OpClass::kMove;
-    case Op::kLoad: case Op::kStore: case Op::kLoadB: case Op::kStoreB:
-      return OpClass::kMemory;
-    case Op::kPushR: case Op::kPushI: case Op::kPopR:
-      return OpClass::kStack;
-    case Op::kAddRR: case Op::kAddRI: case Op::kSubRR: case Op::kSubRI:
-    case Op::kXorRR: case Op::kXorRI: case Op::kAndRR: case Op::kAndRI:
-    case Op::kOrRR: case Op::kOrRI: case Op::kMulRR: case Op::kMulRI:
-    case Op::kShlRI: case Op::kShrRI: case Op::kNotR: case Op::kNegR:
-    case Op::kIncR: case Op::kDecR:
-      return OpClass::kAlu;
-    case Op::kCmpRR: case Op::kCmpRI: case Op::kTestRR: case Op::kTestRI:
-      return OpClass::kCompare;
-    case Op::kJmp: case Op::kJz: case Op::kJnz: case Op::kJg: case Op::kJl:
-    case Op::kJge: case Op::kJle:
-      return OpClass::kBranch;
-    case Op::kCall: case Op::kRet:
-      return OpClass::kCallRet;
-    case Op::kSys:
-      return OpClass::kSys;
-    case Op::kOpCount:
-      break;
-  }
-  return OpClass::kControl;
-}
-
 const char* VmEventName(VmEvent event) {
   switch (event) {
     case VmEvent::kSelfModifyingCode: return "self-modifying-code";
@@ -160,6 +113,7 @@ CpuSnapshot Cpu::SnapshotAtSyscall() const {
   snap.pc = current_pc_;
   snap.zf = zf_;
   snap.sf = sf_;
+  snap.of = of_;
   snap.call_depth = call_depth_;
   // Un-charge the in-flight increments from the top of Step(): the
   // resumed CPU re-executes the whole `sys` instruction.
@@ -174,6 +128,7 @@ void Cpu::Restore(const CpuSnapshot& snap) {
   current_pc_ = snap.pc;
   zf_ = snap.zf;
   sf_ = snap.sf;
+  of_ = snap.of;
   call_depth_ = snap.call_depth;
   cycles_used_ = snap.cycles_used;
   api_calls_ = snap.api_calls;
@@ -253,10 +208,11 @@ StopReason Cpu::Step() {
     fetched = program_.code[pc_];
   }
   const Instruction inst = fetched;
+  if (inst.op >= Op::kOpCount) return Fault("invalid opcode");
   current_pc_ = pc_;
   ++cycles_used_;
   ++instructions_retired_;
-  ++dispatch_counts_[static_cast<size_t>(ClassifyOp(inst.op))];
+  ++dispatch_counts_[static_cast<size_t>(GetOpInfo(inst.op).cls)];
 
   StepInfo step;
   step.pc = pc_;
@@ -301,23 +257,49 @@ StopReason Cpu::Step() {
     step.mem_size = 4;
     return true;
   };
-  auto set_flags = [&](uint32_t value) {
+  // OF is set on signed overflow, as x86 sets it; the logic ops, the
+  // shifts, `not` and `test` clear it.
+  auto set_flags = [&](uint32_t value, bool overflow) {
     zf_ = value == 0;
     sf_ = (value >> 31) != 0;
+    of_ = overflow;
+  };
+  auto sub_overflows = [](uint32_t lhs, uint32_t rhs) {
+    return ((lhs ^ rhs) & (lhs ^ (lhs - rhs))) >> 31 != 0;
   };
   auto alu = [&](uint32_t rhs) -> uint32_t {
     const uint32_t lhs = step.u1;
+    uint32_t value = 0;
+    bool overflow = false;
     switch (inst.op) {
-      case Op::kAddRR: case Op::kAddRI: return lhs + rhs;
-      case Op::kSubRR: case Op::kSubRI: return lhs - rhs;
-      case Op::kXorRR: case Op::kXorRI: return lhs ^ rhs;
-      case Op::kAndRR: case Op::kAndRI: return lhs & rhs;
-      case Op::kOrRR: case Op::kOrRI: return lhs | rhs;
-      case Op::kMulRR: case Op::kMulRI: return lhs * rhs;
-      case Op::kShlRI: return rhs >= 32 ? 0 : lhs << rhs;
-      case Op::kShrRI: return rhs >= 32 ? 0 : lhs >> rhs;
-      default: AUTOVAC_CHECK_MSG(false, "alu on non-alu op"); return 0;
+      case Op::kAddRR: case Op::kAddRI:
+        value = lhs + rhs;
+        overflow = ((lhs ^ value) & (rhs ^ value)) >> 31 != 0;
+        break;
+      case Op::kSubRR: case Op::kSubRI:
+        value = lhs - rhs;
+        overflow = sub_overflows(lhs, rhs);
+        break;
+      case Op::kXorRR: case Op::kXorRI: value = lhs ^ rhs; break;
+      case Op::kAndRR: case Op::kAndRI: value = lhs & rhs; break;
+      case Op::kOrRR: case Op::kOrRI: value = lhs | rhs; break;
+      case Op::kMulRR: case Op::kMulRI:
+        value = lhs * rhs;
+        overflow = static_cast<int64_t>(static_cast<int32_t>(lhs)) *
+                       static_cast<int32_t>(rhs) !=
+                   static_cast<int32_t>(value);
+        break;
+      case Op::kShlRI: value = rhs >= 32 ? 0 : lhs << rhs; break;
+      case Op::kShrRI: value = rhs >= 32 ? 0 : lhs >> rhs; break;
+      default: AUTOVAC_CHECK_MSG(false, "alu on non-alu op");
     }
+    set_flags(value, overflow);
+    return value;
+  };
+  auto unary = [&](uint32_t value, bool overflow) {
+    set_reg(inst.r1, value);
+    set_flags(value, overflow);
+    step.result = value;
   };
   // Branch targets: absolute in static code (imm may also name a memory
   // address >= kMemExecBase, which is how an unpacker enters its
@@ -411,7 +393,6 @@ StopReason Cpu::Step() {
     case Op::kOrRR: case Op::kMulRR: {
       const uint32_t value = alu(step.u2);
       set_reg(inst.r1, value);
-      set_flags(value);
       step.result = value;
       break;
     }
@@ -419,49 +400,32 @@ StopReason Cpu::Step() {
     case Op::kOrRI: case Op::kMulRI: case Op::kShlRI: case Op::kShrRI: {
       const uint32_t value = alu(imm32);
       set_reg(inst.r1, value);
-      set_flags(value);
       step.result = value;
       break;
     }
-    case Op::kNotR: {
-      const uint32_t value = ~step.u1;
-      set_reg(inst.r1, value);
-      set_flags(value);
-      step.result = value;
+    case Op::kNotR:
+      unary(~step.u1, false);
       break;
-    }
-    case Op::kNegR: {
-      const uint32_t value = 0u - step.u1;
-      set_reg(inst.r1, value);
-      set_flags(value);
-      step.result = value;
+    case Op::kNegR:
+      unary(0u - step.u1, step.u1 == 0x80000000u);
       break;
-    }
-    case Op::kIncR: {
-      const uint32_t value = step.u1 + 1;
-      set_reg(inst.r1, value);
-      set_flags(value);
-      step.result = value;
+    case Op::kIncR:
+      unary(step.u1 + 1, step.u1 == 0x7FFFFFFFu);
       break;
-    }
-    case Op::kDecR: {
-      const uint32_t value = step.u1 - 1;
-      set_reg(inst.r1, value);
-      set_flags(value);
-      step.result = value;
+    case Op::kDecR:
+      unary(step.u1 - 1, step.u1 == 0x80000000u);
       break;
-    }
     case Op::kCmpRR:
-      set_flags(step.u1 - step.u2);
+      set_flags(step.u1 - step.u2, sub_overflows(step.u1, step.u2));
       break;
     case Op::kCmpRI:
-      set_flags(step.u1 - imm32);
+      set_flags(step.u1 - imm32, sub_overflows(step.u1, imm32));
       break;
     case Op::kTestRR:
-      set_flags(step.u1 & step.u2);
+      set_flags(step.u1 & step.u2, false);
       break;
     case Op::kTestRI:
-      set_flags(step.u1 & imm32);
+      set_flags(step.u1 & imm32, false);
       break;
     case Op::kJmp:
       branch_to(true);
@@ -472,19 +436,17 @@ StopReason Cpu::Step() {
     case Op::kJnz:
       branch_to(!zf_);
       break;
-    // Signed comparisons approximated via SF/ZF (no OF lane; operands in
-    // the sandbox stay far from overflow boundaries).
     case Op::kJg:
-      branch_to(!zf_ && !sf_);
+      branch_to(!zf_ && sf_ == of_);
       break;
     case Op::kJl:
-      branch_to(sf_);
+      branch_to(sf_ != of_);
       break;
     case Op::kJge:
-      branch_to(!sf_);
+      branch_to(sf_ == of_);
       break;
     case Op::kJle:
-      branch_to(zf_ || sf_);
+      branch_to(zf_ || sf_ != of_);
       break;
     case Op::kCall:
       // The pushed return value is mode-typed like pc itself: an index
@@ -522,7 +484,7 @@ StopReason Cpu::Step() {
       }
       break;
     case Op::kOpCount:
-      return Fault("invalid opcode");
+      break;  // refused before dispatch
   }
 
   if (observer_ != nullptr) observer_->OnStep(*this, step);

@@ -33,31 +33,10 @@ enum class StopReason {
 inline constexpr size_t kNumStopReasons =
     static_cast<size_t>(StopReason::kTraceLimit) + 1;
 
-// Coarse opcode classes for the dispatch-mix telemetry: each retired
-// instruction bumps one per-class counter (a plain array increment on
-// the interpreter hot path; the registry sees one bulk add per run).
-enum class OpClass : uint8_t {
-  kControl = 0,  // nop/hlt
-  kMove,         // mov/lea
-  kMemory,       // load/store (word and byte)
-  kStack,        // push/pop
-  kAlu,          // arithmetic, logic, shifts, inc/dec
-  kCompare,      // cmp/test
-  kBranch,       // jmp + conditionals
-  kCallRet,      // call/ret
-  kSys,          // kernel traps
-  kClassCount,
-};
-
-inline constexpr size_t kNumOpClasses =
-    static_cast<size_t>(OpClass::kClassCount);
-
-[[nodiscard]] const char* OpClassName(OpClass cls);
-[[nodiscard]] OpClass ClassifyOp(Op op);
-
 // Everything observable about one retired instruction. Field semantics:
 //   u1/u2      — values of r1/r2 *before* execution
-//   mem_addr   — effective address when reads_mem/writes_mem
+//   mem_addr   — effective address of the memory the opcode reads or
+//                writes (OpInfo::src_mem / writes_mem)
 //   mem_size   — 1 or 4
 //   result     — value written to the destination (reg or memory)
 struct StepInfo {
@@ -84,6 +63,7 @@ struct CpuSnapshot {
   uint32_t pc = 0;
   bool zf = false;
   bool sf = false;
+  bool of = false;
   uint32_t call_depth = 0;
   uint64_t cycles_used = 0;
   uint64_t api_calls = 0;
@@ -150,6 +130,7 @@ class Cpu {
   [[nodiscard]] uint32_t pc() const { return pc_; }
   [[nodiscard]] bool zf() const { return zf_; }
   [[nodiscard]] bool sf() const { return sf_; }
+  [[nodiscard]] bool of() const { return of_; }
 
   // --- kernel conveniences --------------------------------------------
   // i-th syscall argument (32-bit, cdecl-like: arg0 at [esp]).
@@ -251,6 +232,7 @@ class Cpu {
   uint32_t current_pc_ = 0;
   bool zf_ = false;
   bool sf_ = false;
+  bool of_ = false;
   bool exit_requested_ = false;
   StopReason pending_stop_ = StopReason::kRunning;
   uint32_t call_depth_ = 0;

@@ -1,9 +1,5 @@
 #include "vm/isa.h"
 
-#include <array>
-
-#include "support/status.h"
-
 namespace autovac::vm {
 
 std::string_view RegName(Reg reg) {
@@ -64,64 +60,20 @@ std::string_view OpName(Op op) {
   return "<bad>";
 }
 
-namespace {
-
-std::array<OpInfo, static_cast<size_t>(Op::kOpCount)> BuildOpInfoTable() {
-  std::array<OpInfo, static_cast<size_t>(Op::kOpCount)> table{};
-  auto set = [&table](Op op, OpInfo info) {
-    table[static_cast<size_t>(op)] = info;
-  };
-  // {reads_r1, writes_r1, reads_r2, reads_mem, writes_mem,
-  //  reads_flags, writes_flags, is_branch, is_predicate}
-  set(Op::kMovRI, {.writes_r1 = true});
-  set(Op::kMovRR, {.writes_r1 = true, .reads_r2 = true});
-  set(Op::kLoad, {.writes_r1 = true, .reads_r2 = true, .reads_mem = true});
-  set(Op::kLoadB, {.writes_r1 = true, .reads_r2 = true, .reads_mem = true});
-  set(Op::kStore, {.reads_r1 = true, .reads_r2 = true, .writes_mem = true});
-  set(Op::kStoreB, {.reads_r1 = true, .reads_r2 = true, .writes_mem = true});
-  set(Op::kLea, {.writes_r1 = true, .reads_r2 = true});
-  set(Op::kPushR, {.reads_r1 = true, .writes_mem = true});
-  set(Op::kPushI, {.writes_mem = true});
-  set(Op::kPopR, {.writes_r1 = true, .reads_mem = true});
-  const OpInfo alu_rr{.reads_r1 = true, .writes_r1 = true, .reads_r2 = true,
-                      .writes_flags = true};
-  const OpInfo alu_ri{.reads_r1 = true, .writes_r1 = true,
-                      .writes_flags = true};
-  for (Op op : {Op::kAddRR, Op::kSubRR, Op::kXorRR, Op::kAndRR, Op::kOrRR,
-                Op::kMulRR}) {
-    set(op, alu_rr);
+const char* OpClassName(OpClass cls) {
+  switch (cls) {
+    case OpClass::kControl: return "control";
+    case OpClass::kMove: return "move";
+    case OpClass::kMemory: return "memory";
+    case OpClass::kStack: return "stack";
+    case OpClass::kAlu: return "alu";
+    case OpClass::kCompare: return "compare";
+    case OpClass::kBranch: return "branch";
+    case OpClass::kCallRet: return "call";
+    case OpClass::kSys: return "sys";
+    case OpClass::kClassCount: break;
   }
-  for (Op op : {Op::kAddRI, Op::kSubRI, Op::kXorRI, Op::kAndRI, Op::kOrRI,
-                Op::kMulRI, Op::kShlRI, Op::kShrRI}) {
-    set(op, alu_ri);
-  }
-  const OpInfo unary{.reads_r1 = true, .writes_r1 = true, .writes_flags = true};
-  for (Op op : {Op::kNotR, Op::kNegR, Op::kIncR, Op::kDecR}) set(op, unary);
-  set(Op::kCmpRR, {.reads_r1 = true, .reads_r2 = true, .writes_flags = true,
-                   .is_predicate = true});
-  set(Op::kCmpRI, {.reads_r1 = true, .writes_flags = true,
-                   .is_predicate = true});
-  set(Op::kTestRR, {.reads_r1 = true, .reads_r2 = true, .writes_flags = true,
-                    .is_predicate = true});
-  set(Op::kTestRI, {.reads_r1 = true, .writes_flags = true,
-                    .is_predicate = true});
-  set(Op::kJmp, {.is_branch = true});
-  for (Op op : {Op::kJz, Op::kJnz, Op::kJg, Op::kJl, Op::kJge, Op::kJle}) {
-    set(op, {.reads_flags = true, .is_branch = true});
-  }
-  set(Op::kCall, {.writes_mem = true, .is_branch = true});
-  set(Op::kRet, {.reads_mem = true, .is_branch = true});
-  set(Op::kSys, {});
-  return table;
-}
-
-}  // namespace
-
-const OpInfo& GetOpInfo(Op op) {
-  static const auto table = BuildOpInfoTable();
-  const auto index = static_cast<size_t>(op);
-  AUTOVAC_CHECK_MSG(index < table.size(), "bad opcode");
-  return table[index];
+  return "?";
 }
 
 namespace {

@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "campaign/supervisor.h"
+#include "evasion/corpus.h"
 #include "malware/corpus.h"
 #include "os/errors.h"
 #include "sandbox/faults.h"
@@ -287,6 +288,29 @@ TEST(WorkerChaos, SegfaultingChildBecomesFailedRow) {
     if (index == 0) raise(SIGSEGV);
   };
   ExpectOnlySampleZeroDies(options, 4);
+}
+
+// The failed row of a worker that died on an evasive sample keeps the
+// sample's identity, its evasion class included, so the campaign's
+// per-class breakdown still counts it.
+TEST(WorkerChaos, CrashedEvasiveSampleKeepsItsEvasionClass) {
+  auto sample = evasion::GenerateEvasiveSample(
+      evasion::EvasionClass::kEnvProbe, 17, "crashed_probe");
+  ASSERT_TRUE(sample.ok()) << sample.status().ToString();
+  const std::vector<vm::Program> wave = {sample->program};
+  campaign::CampaignOptions options;
+  options.max_worker_retries = 0;
+  options.quarantine_after_kills = 99;
+  options.worker_test_hook = [](size_t, size_t) { raise(SIGSEGV); };
+  vaccine::VaccinePipeline pipeline(nullptr, ChaosPipelineOptions());
+  auto run = campaign::RunDurableCampaign(pipeline, wave, options);
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_EQ(run->report.reports.size(), 1u);
+  const vaccine::SampleReport& dead = run->report.reports[0];
+  EXPECT_EQ(dead.disposition, vaccine::SampleDisposition::kWorkerCrashed);
+  EXPECT_EQ(dead.evasion_class, "env-probe");
+  EXPECT_EQ(dead.sample_digest, sample->program.Digest());
+  CheckWellFormed(dead);
 }
 
 TEST(WorkerChaos, AbortingChildBecomesFailedRow) {

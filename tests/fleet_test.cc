@@ -433,6 +433,39 @@ TEST(FleetCoordinator, ZombieUploadRejectedAndRetryDeduped) {
   coordinator.Stop();
 }
 
+// A sample whose analysis crashed is still uploaded under its identity:
+// the coordinator matches the failed report's digest to its corpus slot
+// and accepts it, instead of leaving the sample to the next lease.
+TEST(FleetCoordinator, AcceptsTheFailedReportOfACrashedAnalysis) {
+  ScratchFile sock("fleet_failed.sock");
+  const std::vector<vm::Program> wave = SmallCorpus(33, 2);
+
+  fleet::CoordinatorOptions options;
+  options.socket_path = sock.path();
+  fleet::FleetCoordinator coordinator(wave, FastOptions(), options);
+  ASSERT_TRUE(coordinator.Start().ok());
+
+  fleet::FleetClient client(sock.path());
+  auto claim = client.Claim("crashy");
+  ASSERT_TRUE(claim.ok()) << claim.status().ToString();
+  ASSERT_TRUE(claim->has_work);
+  net::CompleteRequest upload;
+  upload.worker_id = "crashy";
+  upload.lease_id = claim->lease_id;
+  upload.sample_index = claim->sample_index;
+  upload.report = vaccine::FailedSampleReport(
+      wave[static_cast<size_t>(claim->sample_index)],
+      vaccine::SampleDisposition::kIsolatedCrash,
+      Status::Internal("analysis crash: injected"));
+  auto accepted = client.Complete(upload);
+  ASSERT_TRUE(accepted.ok()) << accepted.status().ToString();
+  EXPECT_TRUE(accepted->accepted);
+  auto progress = client.Stats();
+  ASSERT_TRUE(progress.ok());
+  EXPECT_EQ(progress->completed, 1u);
+  coordinator.Stop();
+}
+
 TEST(FleetCoordinator, MisconfiguredWorkerRefusesItsClaim) {
   ScratchFile sock("fleet_misconfig.sock");
   const std::vector<vm::Program> wave = SmallCorpus(32, 1);

@@ -266,6 +266,52 @@ TEST(VaccineJson, RefusesSliceOperandsThatNameNoRegister) {
   }
 }
 
+// The VM is 32-bit: a slice's entry, output address and length, and each
+// data blob's address are refused from 2^32 up, naming the field, instead
+// of wrapping to another address.
+TEST(VaccineJson, RefusesSliceAddressesOf32BitsOrMore) {
+  vaccine::Vaccine vaccine;
+  vaccine.malware_name = "sliced";
+  analysis::VaccineSlice slice;
+  slice.program.name = "slice";
+  slice.program.entry = 1;
+  slice.program.code = {{vm::Op::kNop, vm::Reg::kNone, vm::Reg::kNone, 0},
+                        {vm::Op::kHlt, vm::Reg::kNone, vm::Reg::kNone, 0}};
+  slice.program.data = {{vm::kDataBase, "ab"}};
+  slice.output_addr = vm::kDataBase + 16;
+  slice.output_len = 9;
+  vaccine.slice = slice;
+  const std::string json = vaccine::VaccineToJson(vaccine);
+  const std::vector<std::pair<std::string, std::string>> fields = {
+      {"entry", "\"entry\":1,"},
+      {"output_addr", StrFormat("\"output_addr\":%u,", vm::kDataBase + 16)},
+      {"output_len", "\"output_len\":9,"},
+      {"addr", StrFormat("{\"addr\":%u,", vm::kDataBase)}};
+  for (const auto& [field, text] : fields) {
+    SCOPED_TRACE(field);
+    const size_t at = json.find(text);
+    ASSERT_NE(at, std::string::npos) << json;
+    const size_t value_at = text.find(':') + 1;
+    for (const uint64_t value : {uint64_t{0xFFFFFFFF}, uint64_t{1} << 32,
+                                 (uint64_t{1} << 32) + 5}) {
+      std::string mutated = json;
+      mutated.replace(at + value_at, text.size() - value_at - 1,
+                      std::to_string(value));
+      auto parsed = ParseJson(mutated);
+      ASSERT_TRUE(parsed.ok()) << mutated;
+      auto decoded = vaccine::VaccineFromJson(*parsed);
+      if (value <= 0xFFFFFFFF) {
+        EXPECT_TRUE(decoded.ok()) << decoded.status().ToString();
+        continue;
+      }
+      ASSERT_FALSE(decoded.ok()) << value;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(decoded.status().message().find(field), std::string::npos)
+          << decoded.status().ToString();
+    }
+  }
+}
+
 TEST(CampaignJson, AggregatesMatchReports) {
   vaccine::SampleReport ok_report;
   ok_report.sample_name = "clean";

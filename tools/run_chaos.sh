@@ -4,7 +4,7 @@
 # the sanitizers. Any injected-fault path that corrupts memory or trips
 # UB fails loudly here rather than silently in a campaign.
 #
-# The default run covers all four chaos surfaces:
+# The default run covers the four chaos surfaces and the dataflow suites:
 #   * chaos_test    — VM / analysis fault injection
 #   * netchaos_test — wire faults: refused connects, mid-frame cuts,
 #                     short reads/writes, EINTR, duplicate delivery,
@@ -17,6 +17,10 @@
 #                     the byte-identity of SMC reports across the
 #                     snapshot fast path, legacy replay, jobs, and
 #                     journal resume
+#   * vm_test, taint_test, analysis_test, control_dependence_test,
+#     opcode_table_test — the interpreter, the taint and byte-origin
+#                     passes over the opcode table, and their paged
+#                     shadow memory
 #
 # The fleet CLI drill (tools/run_fleet_chaos.sh) layers the same kill
 # matrix over the `autovac coordinate` / `detonate-worker` surface;
@@ -59,6 +63,10 @@ else
   "$build_dir/tests/netchaos_test"
   "$build_dir/tests/fleet_test"
   "$build_dir/tests/evasion_test"
+  for suite in vm_test taint_test analysis_test control_dependence_test \
+      opcode_table_test; do
+    "$build_dir/tests/$suite"
+  done
 fi
 if [[ "$fleet_drill" == 1 ]]; then
   tools/run_fleet_chaos.sh "$build_dir"
